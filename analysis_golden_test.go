@@ -55,7 +55,7 @@ func TestGoldenFindings(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, spec := range findingsSpecs(t) {
-		r, stats, err := spec.ExecuteObserved(context.Background(), nil)
+		r, stats, err := spec.ExecuteContext(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Key(), err)
 		}
@@ -98,7 +98,7 @@ func TestAnalysisHealthyRunQuiet(t *testing.T) {
 	spec := system.Spec{System: config.HybridReal, Benchmark: "CG",
 		Scale: workloads.Tiny, Cores: benchCores}
 	rec := telemetry.NewRecorder(1000, 0)
-	r, stats, err := spec.ExecuteObserved(context.Background(), rec)
+	r, stats, err := spec.ExecuteContext(context.Background(), rec)
 	if err != nil {
 		t.Fatal(err)
 	}

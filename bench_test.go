@@ -210,7 +210,7 @@ func BenchmarkAblationFilterSize(b *testing.B) {
 		for _, entries := range []int{8, 48} {
 			r, err := system.Spec{
 				System: config.HybridReal, Benchmark: "IS", Scale: benchScale,
-				Cores: benchCores, FilterEntries: entries,
+				Cores: benchCores, Overrides: config.Overrides{FilterEntries: entries},
 			}.Execute()
 			if err != nil {
 				b.Fatal(err)

@@ -59,7 +59,11 @@ func main() {
 		"system", "cycles", "packets", "energy", "filter-hit", "guarded")
 	var cacheCycles uint64
 	for _, rw := range rows {
-		r, err := system.RunBenchmark(rw.sys, bench, cores, 0)
+		m, err := system.Build(system.Spec{System: rw.sys, Cores: cores}.Config(), bench, system.DefaultSeed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		r, err := m.Run(0)
 		if err != nil {
 			log.Fatal(err)
 		}

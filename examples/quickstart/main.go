@@ -44,7 +44,7 @@ func main() {
 
 	// 2. Build the full Table-1 machine (64 cores) with the
 	//    hybrid memory system and the paper's coherence protocol.
-	r, err := system.RunBenchmark(config.HybridReal, bench, 64, 0)
+	r, err := run(config.HybridReal, bench)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,10 +59,19 @@ func main() {
 	fmt.Printf("  energy:            %.1f uJ\n", r.Energy.Total()/1e6)
 
 	// 4. Compare against the cache-based baseline.
-	base, err := system.RunBenchmark(config.CacheBased, bench, 64, 0)
+	base, err := run(config.CacheBased, bench)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("speedup over the cache-based system: %.2fx\n",
 		float64(base.Cycles)/float64(r.Cycles))
+}
+
+// run wires the 64-core machine for sys and runs bench on it to completion.
+func run(sys config.MemorySystem, bench *compiler.Benchmark) (system.Results, error) {
+	m, err := system.Build(system.Spec{System: sys, Cores: 64}.Config(), bench, system.DefaultSeed)
+	if err != nil {
+		return system.Results{}, err
+	}
+	return m.Run(0)
 }

@@ -40,7 +40,7 @@ type Evidence struct {
 }
 
 // Suggestion is an actionable knob change: re-run with Knob set to Proposed
-// (registry name, so it pastes into -set / ?set= / Overrides directly).
+// (registry name, so it pastes into -set / Overrides directly).
 type Suggestion struct {
 	Knob     string `json:"knob"`
 	Current  int    `json:"current"`

@@ -290,6 +290,11 @@ func (c Config) Validate() error {
 	if c.MemControllers <= 0 {
 		return errors.New("config: MemControllers must be positive")
 	}
+	// Each controller sits on its own mesh node.
+	if c.MemControllers > c.MeshWidth*c.MeshHeight {
+		return fmt.Errorf("config: %d memory controllers exceed the %d-node mesh",
+			c.MemControllers, c.MeshWidth*c.MeshHeight)
+	}
 	if c.FlitBytes <= 0 {
 		return errors.New("config: FlitBytes must be positive")
 	}

@@ -95,6 +95,18 @@ func TestValidateRejectsBadMesh(t *testing.T) {
 	}
 }
 
+func TestValidateRejectsMoreMemControllersThanNodes(t *testing.T) {
+	c := ForSystem(CacheBased)
+	c.MemControllers = c.MeshWidth * c.MeshHeight
+	if err := c.Validate(); err != nil {
+		t.Fatalf("one controller per node rejected: %v", err)
+	}
+	c.MemControllers++
+	if err := c.Validate(); err == nil {
+		t.Fatal("Validate accepted more memory controllers than mesh nodes")
+	}
+}
+
 func TestValidateRejectsBadLineSize(t *testing.T) {
 	c := Default()
 	c.LineSize = 48

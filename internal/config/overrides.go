@@ -212,19 +212,6 @@ func (o Overrides) Apply(c *Config) {
 	}
 }
 
-// List returns every set knob as (name, value) pairs in canonical registry
-// order — the enumeration -set flags and ?set= parameters round-trip
-// through.
-func (o Overrides) List() []KnobValue {
-	var out []KnobValue
-	for _, k := range knobs {
-		if v := *k.Over(&o); v > 0 {
-			out = append(out, KnobValue{Name: k.Name, Value: v})
-		}
-	}
-	return out
-}
-
 // ConfigDiff returns, in canonical registry order, every knob whose value
 // in cfg differs from base. Identity always diffs two materialized Configs
 // — never a sparse Overrides against a Config, which would miss derived
@@ -273,7 +260,7 @@ func ParseValue(s string) (int, error) {
 }
 
 // ParseAssignment parses one "name=value" string, the payload of a -set
-// flag or a ?set= query parameter.
+// flag.
 func ParseAssignment(s string) (name string, value int, err error) {
 	name, raw, ok := strings.Cut(s, "=")
 	if !ok || name == "" {

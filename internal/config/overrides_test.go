@@ -44,8 +44,8 @@ func TestKnobRegistryCoversEveryConfigKnob(t *testing.T) {
 }
 
 // TestKnobNamesMatchJSONTags: a knob's registry name is also its JSON wire
-// name, so -set flags, ?set= parameters and {"overrides":{...}} bodies all
-// speak one vocabulary.
+// name, so -set flags and {"overrides":{...}} bodies speak one
+// vocabulary.
 func TestKnobNamesMatchJSONTags(t *testing.T) {
 	var o Overrides
 	ot := reflect.TypeOf(o)

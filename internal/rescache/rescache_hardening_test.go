@@ -101,3 +101,26 @@ func TestContainsProbesWithoutCounting(t *testing.T) {
 		t.Fatalf("Contains moved counters: %+v -> %+v", before, after)
 	}
 }
+
+// TestTopLevelFilterEntriesDiskEntrySkipped: an entry persisted while a Spec
+// still carried a top-level "filter_entries" no longer decodes. It is
+// skipped and counted like any other unusable file, and the run recomputes
+// under the same address.
+func TestTopLevelFilterEntriesDiskEntrySkipped(t *testing.T) {
+	dir := t.TempDir()
+	old := `{"spec":{"system":"hybrid","benchmark":"EP","scale":"tiny","cores":4,"filter_entries":40},"results":{"Cycles":9}}`
+	if err := os.WriteFile(filepath.Join(dir, spec(40).Hash()+".json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := mustNew(t, 8, dir)
+	calls := 0
+	if _, hit, err := c.GetOrRun(context.Background(), spec(40), fakeRun(&calls, 1)); hit || err != nil {
+		t.Fatalf("hit=%v err=%v, want a clean miss", hit, err)
+	}
+	if calls != 1 {
+		t.Fatalf("run executed %d times, want 1", calls)
+	}
+	if st := c.Stats(); st.DiskErrors != 1 {
+		t.Fatalf("DiskErrors = %d, want 1", st.DiskErrors)
+	}
+}

@@ -23,11 +23,11 @@ import (
 // mint arbitrarily many distinct cache keys without running anything.
 func spec(filter int) system.Spec {
 	return system.Spec{
-		System:        config.HybridReal,
-		Benchmark:     "EP",
-		Scale:         workloads.Tiny,
-		Cores:         4,
-		FilterEntries: filter,
+		System:    config.HybridReal,
+		Benchmark: "EP",
+		Scale:     workloads.Tiny,
+		Cores:     4,
+		Overrides: config.Overrides{FilterEntries: filter},
 	}
 }
 
@@ -348,8 +348,8 @@ func v1Hash(s system.Spec) string {
 	if s.Cores > 0 {
 		cores = s.Cores
 	}
-	if s.FilterEntries > 0 {
-		filter = s.FilterEntries
+	if s.Overrides.FilterEntries > 0 {
+		filter = s.Overrides.FilterEntries
 	}
 	seed := s.Seed
 	if seed == 0 {

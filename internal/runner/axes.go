@@ -29,7 +29,7 @@ type KnobAxis struct {
 
 // ParamAxis is one swept workload dimension: a parameter name from the
 // benchmark's workloads registry entry and the values it takes — the
-// payload of a "-wsweep name=v1,v2,..." flag or a ?wsweep= query parameter.
+// payload of a "-wsweep name=v1,v2,..." flag or a Matrix "wsweep" entry.
 type ParamAxis struct {
 	Name   string `json:"name"`
 	Values []int  `json:"values"`

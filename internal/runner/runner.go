@@ -37,7 +37,7 @@ type Result struct {
 // shared by the sweep workers below and by the service's job queue.
 func RunOne(ctx context.Context, spec system.Spec) Result {
 	t0 := time.Now()
-	res, err := spec.ExecuteContext(ctx)
+	res, _, err := spec.ExecuteContext(ctx, nil)
 	return Result{Spec: spec, Res: res, Err: err, Wall: time.Since(t0)}
 }
 

@@ -142,25 +142,11 @@ func (c *Client) getJSON(ctx context.Context, path string, q url.Values, out any
 // call blocks until the daemon reports every run complete (or timeout, if
 // nonzero, expires — the returned records then carry pending statuses).
 func (c *Client) Submit(ctx context.Context, req SubmitRequest, wait bool, timeout time.Duration) ([]RunRecord, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	q := url.Values{}
+	q := timeoutQuery(timeout)
 	if wait {
 		q.Set("wait", "true")
 	}
-	if timeout > 0 {
-		q.Set("timeout", timeout.String())
-	}
-	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("/v1/runs", q), bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		return hreq, nil
-	})
+	resp, err := c.postJSON(ctx, "/v1/runs", q, req)
 	if err != nil {
 		return nil, err
 	}
@@ -223,102 +209,53 @@ func (c *Client) Wait(ctx context.Context, key string, poll time.Duration) (RunR
 	}
 }
 
-// Sweep streams a matrix run, invoking each for every per-run line as it
-// arrives, and returns the trailing summary.
-func (c *Client) Sweep(ctx context.Context, m Matrix, timeout time.Duration, each func(RunRecord) error) (SweepSummary, error) {
+// postJSON POSTs v as a JSON body through doRetry. The body is marshalled
+// once and replayed on every attempt: a shed (429/503) arrives before any
+// stream starts, so re-issuing the whole request is safe.
+func (c *Client) postJSON(ctx context.Context, path string, q url.Values, v any) (*http.Response, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return c.doRetry(ctx, func() (*http.Request, error) {
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(path, q), bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		hreq.Header.Set("Content-Type", "application/json")
+		return hreq, nil
+	})
+}
+
+// timeoutQuery renders a nonzero timeout as the ?timeout= bound every
+// submitting endpoint accepts.
+func timeoutQuery(timeout time.Duration) url.Values {
 	q := url.Values{}
-	if m.Scale != "" {
-		q.Set("scale", m.Scale)
-	}
-	if m.Cores > 0 {
-		q.Set("cores", strconv.Itoa(m.Cores))
-	}
-	// Plain names travel comma-joined in ?benchmarks=. A parameterized
-	// spelling ("stream:stride=128") contains commas of its own, so it
-	// needs the repeatable ?workload= form — and because the server
-	// appends ?workload= entries after the ?benchmarks= list, a mixed
-	// matrix sends EVERY entry through ?workload= to preserve the
-	// caller's enumeration order on the stream.
-	parameterized := false
-	for _, b := range m.Benchmarks {
-		if strings.Contains(b, ":") {
-			parameterized = true
-		}
-	}
-	if parameterized {
-		for _, b := range m.Benchmarks {
-			q.Add("workload", b)
-		}
-	} else if len(m.Benchmarks) > 0 {
-		q.Set("benchmarks", strings.Join(m.Benchmarks, ","))
-	}
-	if len(m.Systems) > 0 {
-		q.Set("systems", strings.Join(m.Systems, ","))
-	}
-	if m.Overrides != nil {
-		// List() only emits positive values, so validate first: a negative
-		// override must fail here like it would on the POST path, not
-		// silently sweep the default machine.
-		if err := m.Overrides.Validate(); err != nil {
-			return SweepSummary{}, err
-		}
-		for _, kv := range m.Overrides.List() {
-			q.Add("set", fmt.Sprintf("%s=%d", kv.Name, kv.Value))
-		}
-	}
-	for _, ax := range m.Sweep {
-		q.Add("sweep", axisParam(ax.Name, ax.Values))
-	}
-	for _, ax := range m.WSweep {
-		q.Add("wsweep", axisParam(ax.Name, ax.Values))
-	}
-	if m.Analyze {
-		q.Set("analyze", "1")
-	}
 	if timeout > 0 {
 		q.Set("timeout", timeout.String())
 	}
-	// A shed (429/503) arrives before the stream starts, so retrying the
-	// whole GET is safe: no lines have been consumed yet.
-	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/sweep", q), nil)
-	})
-	if err != nil {
-		return SweepSummary{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return SweepSummary{}, apiError(resp)
-	}
+	return q
+}
 
+// Sweep streams a matrix run, invoking each for every per-run line as it
+// arrives, and returns the trailing summary.
+func (c *Client) Sweep(ctx context.Context, m Matrix, timeout time.Duration, each func(RunRecord) error) (SweepSummary, error) {
 	// Each line is a RunRecord, except the last, which wraps the summary.
 	type sweepLine struct {
 		RunRecord
 		Summary *SweepSummary `json:"summary,omitempty"`
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var sum *SweepSummary
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var l sweepLine
-		if err := json.Unmarshal(line, &l); err != nil {
-			return SweepSummary{}, fmt.Errorf("service: bad sweep line %q: %w", line, err)
-		}
-		if l.Summary != nil {
+	err := streamPost(ctx, c, "/v1/sweep", timeoutQuery(timeout), m, "sweep", func(l sweepLine) error {
+		switch {
+		case l.Summary != nil:
 			sum = l.Summary
-			continue
+		case each != nil:
+			return each(l.RunRecord)
 		}
-		if each != nil {
-			if err := each(l.RunRecord); err != nil {
-				return SweepSummary{}, err
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return SweepSummary{}, err
 	}
 	if sum == nil {
@@ -329,57 +266,21 @@ func (c *Client) Sweep(ctx context.Context, m Matrix, timeout time.Duration, eac
 
 // Plan streams an adaptive plan: POST req, invoke each for every probe
 // line as the strategy searches, and return the final verdict. Sheds
-// (429/503) retry like every other path — the body is re-marshalled fresh
-// per attempt and nothing has streamed before the status line commits.
+// (429/503) retry like every other path.
 func (c *Client) Plan(ctx context.Context, req PlanRequest, timeout time.Duration, each func(planner.Probe) error) (planner.Verdict, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return planner.Verdict{}, err
-	}
-	q := url.Values{}
-	if timeout > 0 {
-		q.Set("timeout", timeout.String())
-	}
-	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("/v1/plan", q), bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		return hreq, nil
-	})
-	if err != nil {
-		return planner.Verdict{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return planner.Verdict{}, apiError(resp)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var verdict *planner.Verdict
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev PlanEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return planner.Verdict{}, fmt.Errorf("service: bad plan line %q: %w", line, err)
-		}
+	err := streamPost(ctx, c, "/v1/plan", timeoutQuery(timeout), req, "plan", func(ev PlanEvent) error {
 		switch {
 		case ev.Error != "":
-			return planner.Verdict{}, fmt.Errorf("service: plan failed: %s", ev.Error)
+			return fmt.Errorf("service: plan failed: %s", ev.Error)
 		case ev.Verdict != nil:
 			verdict = ev.Verdict
 		case ev.Probe != nil && each != nil:
-			if err := each(*ev.Probe); err != nil {
-				return planner.Verdict{}, err
-			}
+			return each(*ev.Probe)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return planner.Verdict{}, err
 	}
 	if verdict == nil {
@@ -388,13 +289,33 @@ func (c *Client) Plan(ctx context.Context, req PlanRequest, timeout time.Duratio
 	return *verdict, nil
 }
 
-// axisParam renders one sweep axis as its "name=v1,v2,..." query payload.
-func axisParam(name string, values []int) string {
-	vals := make([]string, len(values))
-	for i, v := range values {
-		vals[i] = strconv.Itoa(v)
+// streamPost POSTs v to path and hands every non-empty line of the ndjson
+// answer, decoded as a T, to line; an error from line stops the stream.
+func streamPost[T any](ctx context.Context, c *Client, path string, q url.Values, v any, kind string, line func(T) error) error {
+	resp, err := c.postJSON(ctx, path, q, v)
+	if err != nil {
+		return err
 	}
-	return name + "=" + strings.Join(vals, ",")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return apiError(resp)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	for sc.Scan() {
+		b := bytes.TrimSpace(sc.Bytes())
+		if len(b) == 0 {
+			continue
+		}
+		var l T
+		if err := json.Unmarshal(b, &l); err != nil {
+			return fmt.Errorf("service: bad %s line %q: %w", kind, b, err)
+		}
+		if err := line(l); err != nil {
+			return err
+		}
+	}
+	return sc.Err()
 }
 
 // Analysis fetches the rule-driven bottleneck findings of a completed run

@@ -12,7 +12,6 @@ import (
 	"repro/internal/planner"
 	"repro/internal/runner"
 	"repro/internal/system"
-	"repro/internal/workloads"
 )
 
 // PlanRequest is the POST /v1/plan body: a planner Question by name. A plan
@@ -42,11 +41,7 @@ func (r PlanRequest) question() (planner.Question, error) {
 	if r.Benchmark == "" {
 		return q, errors.New(`plan needs a "benchmark"`)
 	}
-	scale := r.Scale
-	if scale == "" {
-		scale = "small"
-	}
-	sc, err := workloads.ParseScale(scale)
+	sc, err := parseScale(r.Scale)
 	if err != nil {
 		return q, err
 	}
@@ -143,10 +138,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
-	dec.DisallowUnknownFields()
 	var req PlanRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad plan body: %w", err))
 		return
 	}

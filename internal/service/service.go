@@ -11,13 +11,9 @@
 //	                         registry) and per-workload-parameter "wsweep"
 //	                         axes (workloads registry)
 //	GET  /v1/runs/{key}      poll one run by its canonical Spec.Hash
-//	GET  /v1/sweep           run a workload x system x knob x param matrix
+//	POST /v1/sweep           run a workload x system x knob x param matrix
+//	                         (the same JSON Matrix a /v1/runs body carries)
 //	                         and stream one JSON line per completed run
-//	                         (?set=knob=value fixes a knob on every run,
-//	                         ?sweep=knob=v1,v2,... adds a knob axis,
-//	                         ?workload=name:k=v names a parameterized
-//	                         workload, ?wsweep=param=v1,v2,... adds a
-//	                         workload-parameter axis; all repeat)
 //	POST /v1/plan            answer a question instead of enumerating a
 //	                         grid: an internal/planner strategy (knee
 //	                         bisection, Pareto refinement, budgeted
@@ -237,7 +233,7 @@ func (s *Server) initMetrics() {
 		})
 	r.GaugeFunc("hybridsimd_timelines_capacity", "Bound of the timeline store.",
 		func() int64 { return int64(s.timelineCap) })
-	s.sweepsTotal = r.Counter("hybridsimd_sweeps_total", "GET /v1/sweep requests started.")
+	s.sweepsTotal = r.Counter("hybridsimd_sweeps_total", "POST /v1/sweep requests started.")
 	s.sweepRuns = r.Counter("hybridsimd_sweep_runs_total", "Runs fanned out by sweep requests.")
 	s.sweepActive = r.Gauge("hybridsimd_sweeps_active", "Sweep streams currently open.")
 	s.findingsTotal = r.CounterVec("hybridsimd_analysis_findings_total",
@@ -409,7 +405,7 @@ func (s *Server) offerToOwner(spec system.Spec, res system.Results) {
 func (s *Server) executeRecorded(j *job) {
 	rec := telemetry.NewRecorder(j.tel.Interval, 0)
 	t0 := time.Now()
-	res, err := j.spec.ExecuteRecorded(j.ctx, rec)
+	res, _, err := j.spec.ExecuteContext(j.ctx, rec)
 	wall := time.Since(t0)
 	if err == nil {
 		s.cache.Put(j.spec, res)
@@ -577,7 +573,7 @@ type Matrix struct {
 	// every registered workload.
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	Systems    []string `json:"systems,omitempty"` // cache|hybrid|ideal; default: all three
-	Scale      string   `json:"scale"`
+	Scale      string   `json:"scale,omitempty"`   // tiny|small; default: small
 	Cores      int      `json:"cores,omitempty"`
 
 	// Overrides fixes machine knobs for every enumerated run.
@@ -600,7 +596,7 @@ type Matrix struct {
 // Specs expands the enumeration, validating every name before anything is
 // queued.
 func (m Matrix) Specs() ([]system.Spec, error) {
-	scale, err := workloads.ParseScale(m.Scale)
+	scale, err := parseScale(m.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -632,6 +628,15 @@ func (m Matrix) Specs() ([]system.Spec, error) {
 		}
 	}
 	return specs, nil
+}
+
+// parseScale reads a wire scale name; an empty one means small, for runs,
+// sweeps and plans alike.
+func parseScale(name string) (workloads.Scale, error) {
+	if name == "" {
+		return workloads.Small, nil
+	}
+	return workloads.ParseScale(name)
 }
 
 // resolve returns the Specs a submission names.
@@ -682,7 +687,7 @@ type SubmitResponse struct {
 }
 
 // SweepSummary is the trailing line of a /v1/sweep stream. Analysis is
-// present only when the sweep was requested with ?analyze=1.
+// present only when the sweep's Matrix set "analyze".
 type SweepSummary struct {
 	Runs     int                   `json:"runs"`
 	Failed   int                   `json:"failed"`
@@ -714,7 +719,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{key}", s.handleGetRun)
 	mux.HandleFunc("GET /v1/runs/{key}/timeline", s.handleTimeline)
 	mux.HandleFunc("GET /v1/runs/{key}/analysis", s.handleAnalysis)
-	mux.HandleFunc("GET /v1/sweep", s.handleSweep)
+	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("POST /v1/plan", s.handlePlan)
 	mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
 	mux.HandleFunc("PUT /v1/cache/{key}", s.handleCachePut)
@@ -856,6 +861,14 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// decodeBody reads a bounded JSON request body into v, rejecting unknown
+// fields — the one decoder for every body a client composes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 // queryTimeout parses ?timeout=30s; zero means none.
 func queryTimeout(r *http.Request) (time.Duration, error) {
 	raw := r.URL.Query().Get("timeout")
@@ -958,10 +971,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
-	dec.DisallowUnknownFields()
 	var req SubmitRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -1122,58 +1133,21 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	writeError(w, http.StatusNotFound, fmt.Errorf("unknown run %q", key))
 }
 
-// handleSweep enumerates a matrix from query parameters, queues every run
-// bound to the request context, and streams one JSON line per run in input
-// order as results land, then a summary line. Disconnecting cancels all
-// remaining work.
+// handleSweep enumerates the posted Matrix, queues every run bound to the
+// request context, and streams one JSON line per run in input order as
+// results land, then a summary line. Disconnecting cancels all remaining
+// work.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
 	timeout, err := queryTimeout(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	m := Matrix{Scale: q.Get("scale")}
-	if m.Scale == "" {
-		m.Scale = "small"
-	}
-	if v := q.Get("benchmarks"); v != "" {
-		m.Benchmarks = strings.Split(v, ",")
-	}
-	// ?workload=name:k=v,k2=v2 names one workload per occurrence (the
-	// repeatable form parameter spellings need, since their commas would
-	// split a ?benchmarks= list). Both parameters compose.
-	m.Benchmarks = append(m.Benchmarks, q["workload"]...)
-	if v := q.Get("systems"); v != "" {
-		m.Systems = strings.Split(v, ",")
-	}
-	if v := q.Get("cores"); v != "" {
-		if m.Cores, err = strconv.Atoi(v); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad cores %q", v))
-			return
-		}
-	}
-	// ?set=knob=value fixes a machine knob for every run; ?sweep=knob=v1,v2
-	// adds an enumeration axis. Both repeat.
-	if sets := q["set"]; len(sets) > 0 {
-		ov, err := config.ParseOverrides(sets)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		m.Overrides = &ov
-	}
-	if m.Sweep, err = runner.ParseKnobAxes(q["sweep"]); err != nil {
+	var m Matrix
+	if err := decodeBody(w, r, &m); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// ?wsweep=param=v1,v2 adds a workload-parameter axis. Repeatable.
-	if m.WSweep, err = runner.ParseParamAxes(q["wsweep"]); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// ?analyze=1 appends a cross-run analysis to the summary line.
-	m.Analyze, _ = strconv.ParseBool(q.Get("analyze"))
 	specs, err := m.Specs()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

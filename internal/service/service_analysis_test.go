@@ -1,7 +1,7 @@
 package service
 
 // Tests for the advisor surface: GET /v1/runs/{key}/analysis over done and
-// cached runs, the ?analyze=1 sweep summary, and the per-rule findings
+// cached runs, the "analyze" sweep summary, and the per-rule findings
 // counter on /metrics.
 
 import (
@@ -105,7 +105,7 @@ func TestAnalysisServedFromCacheEntry(t *testing.T) {
 	}
 }
 
-// TestSweepAnalyzeSummary runs a small filter sweep with ?analyze=1 and
+// TestSweepAnalyzeSummary runs a small filter sweep with "analyze" set and
 // checks the cross-run attribution rides the summary without disturbing the
 // per-run records.
 func TestSweepAnalyzeSummary(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/planner"
 	"repro/internal/runner"
 	"repro/internal/system"
 	"repro/internal/workloads"
@@ -48,13 +49,16 @@ func TestSubmitOverridesBearingSpec(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsBadOverrides: unknown knobs and negative values fail the
-// request with 400 before anything is queued.
+// TestSubmitRejectsBadOverrides: unknown knobs, negative values, more
+// memory controllers than mesh nodes and the retired top-level
+// "filter_entries" key fail the request with 400 before anything is queued.
 func TestSubmitRejectsBadOverrides(t *testing.T) {
 	_, client := newTestDaemon(t, Options{Workers: 1, QueueDepth: 4})
 	for _, body := range []string{
 		`{"spec":{"system":"cache","benchmark":"EP","scale":"tiny","overrides":{"warp_drive":1}}}`,
 		`{"spec":{"system":"cache","benchmark":"EP","scale":"tiny","overrides":{"mem_latency":-5}}}`,
+		`{"spec":{"system":"cache","benchmark":"EP","scale":"tiny","overrides":{"mem_controllers":100}}}`,
+		`{"spec":{"system":"hybrid","benchmark":"IS","scale":"tiny","filter_entries":8}}`,
 		`{"matrix":{"scale":"tiny","cores":4,"sweep":[{"name":"warp_drive","values":[1]}]}}`,
 		`{"matrix":{"scale":"tiny","cores":4,"sweep":[{"name":"l1d_size","values":[]}]}}`,
 	} {
@@ -66,6 +70,25 @@ func TestSubmitRejectsBadOverrides(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %s: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestEmptyScaleMeansSmall: runs, sweeps and plans share one default —
+// a Matrix or PlanRequest that names no scale runs at small scale.
+func TestEmptyScaleMeansSmall(t *testing.T) {
+	specs, err := Matrix{Benchmarks: []string{"EP"}, Systems: []string{"cache"}}.Specs()
+	if err != nil || len(specs) != 1 || specs[0].Scale != workloads.Small {
+		t.Fatalf("Matrix without scale: %v, %v", specs, err)
+	}
+	req := PlanRequest{Strategy: "knee", Benchmark: "IS",
+		Sweep:      []runner.KnobAxis{{Name: "filter_entries", Values: []int{4, 8}}},
+		Constraint: &planner.Constraint{Metric: "hit_ratio", SlackOfBest: 0.99}}
+	q, err := req.question()
+	if err != nil || q.Axes.Scale != workloads.Small {
+		t.Fatalf("PlanRequest without scale: scale %v, %v", q.Axes.Scale, err)
+	}
+	if _, err := (Matrix{Benchmarks: []string{"EP"}, Scale: "huge"}).Specs(); err == nil {
+		t.Fatal("unknown scale accepted")
 	}
 }
 
@@ -113,13 +136,11 @@ func TestMatrixWithSweepAxes(t *testing.T) {
 	}
 }
 
-// TestSweepQueryParams: GET /v1/sweep understands repeatable ?set= and
-// ?sweep= parameters, and the typed Client emits them.
-func TestSweepQueryParams(t *testing.T) {
-	_, client := newTestDaemon(t, Options{Workers: 2, QueueDepth: 16})
-
-	// Raw query-parameter form.
-	resp, err := http.Get(client.Base + "/v1/sweep?benchmarks=EP&systems=cache&scale=tiny&cores=4&set=mem_latency=150&sweep=l1d_size=16384,32768")
+// sweepLines POSTs a raw Matrix body to /v1/sweep and returns the decoded
+// per-run lines of the 200 stream (the summary line dropped).
+func sweepLines(t *testing.T, base, body string) []RunRecord {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/sweep", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +148,11 @@ func TestSweepQueryParams(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
 	}
-	var keys []string
+	var recs []RunRecord
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		var line struct {
-			Key     string          `json:"key"`
-			Status  string          `json:"status"`
+			RunRecord
 			Summary *map[string]any `json:"summary"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
@@ -144,13 +164,29 @@ func TestSweepQueryParams(t *testing.T) {
 		if line.Status != "done" {
 			t.Fatalf("run %s status %s", line.Key, line.Status)
 		}
-		keys = append(keys, line.Key)
+		recs = append(recs, line.RunRecord)
 	}
-	if len(keys) != 2 {
-		t.Fatalf("streamed %d runs, want 2", len(keys))
+	return recs
+}
+
+// TestSweepMatrixBody: POST /v1/sweep takes the JSON Matrix, applying its
+// fixed overrides and its knob axes, and the typed Client posts the same
+// body — addressing the same cache entries on a second pass.
+func TestSweepMatrixBody(t *testing.T) {
+	_, client := newTestDaemon(t, Options{Workers: 2, QueueDepth: 16})
+
+	recs := sweepLines(t, client.Base, `{"benchmarks":["EP"],"systems":["cache"],"scale":"tiny","cores":4,`+
+		`"overrides":{"mem_latency":150},"sweep":[{"name":"l1d_size","values":[16384,32768]}]}`)
+	if len(recs) != 2 {
+		t.Fatalf("streamed %d runs, want 2", len(recs))
+	}
+	for i, want := range []int{16384, 32768} {
+		cfg := recs[i].Spec.Config()
+		if cfg.MemLatency != 150 || cfg.L1DSize != want {
+			t.Fatalf("run %d: mem_latency %d, l1d_size %d; want 150, %d", i, cfg.MemLatency, cfg.L1DSize, want)
+		}
 	}
 
-	// Typed-client form must address the same runs (cache hits now).
 	var ov config.Overrides
 	ov.Set("mem_latency", 150)
 	m := Matrix{
@@ -175,10 +211,43 @@ func TestSweepQueryParams(t *testing.T) {
 	if sum.Failed != 0 || len(clientKeys) != 2 {
 		t.Fatalf("client sweep: %d keys, %d failed", len(clientKeys), sum.Failed)
 	}
-	for i := range keys {
-		if keys[i] != clientKeys[i] {
-			t.Fatalf("query and typed client addressed different runs:\n%v\n%v", keys, clientKeys)
+	for i := range recs {
+		if recs[i].Key != clientKeys[i] {
+			t.Fatalf("raw body and typed client addressed different runs: %s vs %s", recs[i].Key, clientKeys[i])
 		}
+	}
+}
+
+// TestSweepRejectsGetAndBadBodies: the sweep has one grammar, the POSTed
+// Matrix. A GET is 405; an unknown field, a negative override, an unknown
+// scale or a malformed body is 400 before anything queues.
+func TestSweepRejectsGetAndBadBodies(t *testing.T) {
+	srv, client := newTestDaemon(t, Options{Workers: 1, QueueDepth: 4})
+	resp, err := http.Get(client.Base + "/v1/sweep?benchmarks=EP&systems=cache&scale=tiny&cores=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /v1/sweep: status %d, want 405", resp.StatusCode)
+	}
+	for _, body := range []string{
+		`{"benchmarks":["EP"],"scale":"tiny","cores":4,"set":["mem_latency=150"]}`,
+		`{"benchmarks":["EP"],"scale":"tiny","cores":4,"overrides":{"mem_latency":-1}}`,
+		`{"benchmarks":["EP"],"scale":"huge"}`,
+		`{"benchmarks":["EP"]`,
+	} {
+		resp, err := http.Post(client.Base+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if st := srv.cache.Stats(); st.Misses != 0 {
+		t.Fatalf("rejected sweeps reached the cache: %+v", st)
 	}
 }
 

@@ -226,8 +226,8 @@ func grepLines(s, sub string) string {
 	return strings.Join(out, "\n")
 }
 
-// TestSweepRetriesAfterShed: satellite 1 — the streaming GET paths retry a
-// 429 with Retry-After like submissions do.
+// TestSweepRetriesAfterShed: the streaming sweep POST retries a 429 with
+// Retry-After like submissions do, replaying its Matrix body.
 func TestSweepRetriesAfterShed(t *testing.T) {
 	srv := New(Options{Workers: 2, QueueDepth: 8})
 	defer srv.Close()

@@ -1,9 +1,7 @@
 package service
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
@@ -79,48 +77,27 @@ func TestSubmitRejectsBadParams(t *testing.T) {
 	}
 }
 
-// TestSweepWorkloadQueryParams: GET /v1/sweep understands repeatable
-// ?workload= (parameterized spellings) and ?wsweep= axes, distinct axis
-// values land distinct cache keys, and the typed Client emits the same
-// query — addressing the same cache entries on a second pass.
-func TestSweepWorkloadQueryParams(t *testing.T) {
+// TestSweepMatrixBodyWorkloadParams: a POSTed Matrix carries
+// parameterized workload spellings and wsweep axes, distinct axis values
+// land distinct cache keys, the typed Client addresses the same cache
+// entries on a second pass, and a bad wsweep axis is a 400.
+func TestSweepMatrixBodyWorkloadParams(t *testing.T) {
 	_, client := newTestDaemon(t, Options{Workers: 2, QueueDepth: 16})
 
-	resp, err := http.Get(client.Base + "/v1/sweep?workload=stream:streams=2&systems=hybrid&scale=tiny&cores=4&wsweep=stride=8,128")
-	if err != nil {
-		t.Fatal(err)
+	recs := sweepLines(t, client.Base, `{"benchmarks":["stream:streams=2"],"systems":["hybrid"],"scale":"tiny",`+
+		`"cores":4,"wsweep":[{"name":"stride","values":[8,128]}]}`)
+	if len(recs) != 2 {
+		t.Fatalf("streamed %d runs, want 2", len(recs))
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
+	for _, rec := range recs {
+		if rec.Spec.Benchmark != "stream" {
+			t.Fatalf("run %s benchmark %q", rec.Key, rec.Spec.Benchmark)
+		}
+		if v, _ := rec.Spec.ResolvedParam("streams"); v != 2 {
+			t.Fatalf("run %s streams = %d, want 2", rec.Key, v)
+		}
 	}
-	var keys []string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var line struct {
-			Key     string          `json:"key"`
-			Status  string          `json:"status"`
-			Spec    system.Spec     `json:"spec"`
-			Summary *map[string]any `json:"summary"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad sweep line %s: %v", sc.Bytes(), err)
-		}
-		if line.Summary != nil {
-			continue
-		}
-		if line.Status != "done" {
-			t.Fatalf("run %s status %s", line.Key, line.Status)
-		}
-		if line.Spec.Benchmark != "stream" {
-			t.Fatalf("run %s benchmark %q", line.Key, line.Spec.Benchmark)
-		}
-		keys = append(keys, line.Key)
-	}
-	if len(keys) != 2 {
-		t.Fatalf("streamed %d runs, want 2", len(keys))
-	}
-	if keys[0] == keys[1] {
+	if recs[0].Key == recs[1].Key {
 		t.Fatal("distinct stride values share one cache key")
 	}
 
@@ -145,39 +122,42 @@ func TestSweepWorkloadQueryParams(t *testing.T) {
 	if sum.Failed != 0 || len(clientKeys) != 2 {
 		t.Fatalf("client sweep: %d keys, %d failed", len(clientKeys), sum.Failed)
 	}
-	for i := range keys {
-		if keys[i] != clientKeys[i] {
-			t.Fatalf("query and typed client addressed different runs:\n%v\n%v", keys, clientKeys)
+	for i := range recs {
+		if recs[i].Key != clientKeys[i] {
+			t.Fatalf("raw body and typed client addressed different runs: %s vs %s", recs[i].Key, clientKeys[i])
 		}
 	}
 
-	// A mixed plain + parameterized benchmark list streams in the
-	// caller's order: the client must not let the ?workload= form reorder
-	// entries behind the caller's back.
-	mixed := Matrix{
-		Benchmarks: []string{"stream:stride=128", "CG"},
-		Systems:    []string{"hybrid"},
-		Scale:      "tiny",
-		Cores:      4,
-	}
-	var order []string
-	if _, err := client.Sweep(context.Background(), mixed, 0, func(rec RunRecord) error {
-		order = append(order, rec.Spec.Benchmark)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "stream" || order[1] != "CG" {
-		t.Fatalf("mixed matrix streamed as %v, want [stream CG]", order)
-	}
-
-	// A bad ?wsweep= axis dies with 400 before queueing anything.
-	resp, err = http.Get(client.Base + "/v1/sweep?workload=stream&scale=tiny&cores=4&wsweep=warp=1")
+	// A bad wsweep axis dies with 400 before queueing anything.
+	resp, err := http.Post(client.Base+"/v1/sweep", "application/json",
+		strings.NewReader(`{"benchmarks":["stream"],"scale":"tiny","cores":4,"wsweep":[{"name":"warp","values":[1]}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad wsweep axis: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSweepMixedBenchmarksKeepOrder: plain and parameterized workload
+// spellings mixed in one Matrix stream back in the caller's order.
+func TestSweepMixedBenchmarksKeepOrder(t *testing.T) {
+	_, client := newTestDaemon(t, Options{Workers: 2, QueueDepth: 16})
+	mixed := Matrix{
+		Benchmarks: []string{"EP", "stream:stride=128", "CG"},
+		Systems:    []string{"hybrid"},
+		Scale:      "tiny",
+		Cores:      4,
+	}
+	var order []string
+	if _, err := client.Sweep(context.Background(), mixed, 0, func(rec RunRecord) error {
+		order = append(order, rec.Spec.Benchmark+":"+rec.Spec.Params)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"EP:", "stream:stride=128", "CG:"}; strings.Join(order, " ") != strings.Join(want, " ") {
+		t.Fatalf("mixed matrix streamed as %v, want %v", order, want)
 	}
 }

@@ -58,10 +58,6 @@ type Spec struct {
 	// Seed overrides the workload-generation seed when != 0.
 	Seed uint64
 
-	// FilterEntries is the second legacy shim (the knob DESIGN.md's
-	// Ablation A sweeps); when > 0 it folds into Overrides.FilterEntries.
-	FilterEntries int
-
 	// MaxEvents bounds the run (0 = unbounded); exceeding it is an error.
 	MaxEvents uint64
 }
@@ -74,17 +70,14 @@ func (s Spec) seed() uint64 {
 	return DefaultSeed
 }
 
-// resolved folds the legacy Cores/FilterEntries shims into the Overrides,
-// which afterwards is the single source of machine-knob truth. An explicit
-// Overrides field wins over its legacy twin (Validate rejects the
-// conflicting case, so the precedence only decides error messages).
+// resolved folds the legacy Cores shim into the Overrides, which afterwards
+// is the single source of machine-knob truth. An explicit Overrides.Cores
+// wins over the legacy field (Validate rejects the conflicting case, so the
+// precedence only decides error messages).
 func (s Spec) resolved() config.Overrides {
 	ov := s.Overrides
 	if s.Cores > 0 && ov.Cores == 0 {
 		ov.Cores = s.Cores
-	}
-	if s.FilterEntries > 0 && ov.FilterEntries == 0 {
-		ov.FilterEntries = s.FilterEntries
 	}
 	return ov
 }
@@ -185,7 +178,7 @@ func (s Spec) Key() string {
 // machine that differs from its Table 1 default, in config.Knobs() registry
 // order (KnobDiff). Defaultable fields are resolved (seed) or dropped
 // (knobs and params at their default value), so every spelling of one run —
-// legacy Cores/FilterEntries, Overrides, derived mesh/controller
+// the legacy Cores field, Overrides, derived mesh/controller
 // adjustments written out by hand, or a workload parameter spelled at its
 // default — collapses to one digest, and distinct runs never share one.
 // DESIGN.md §8 documents the encoding; it is versioned, so any change to
@@ -214,28 +207,26 @@ func (s Spec) Hash() string {
 // specJSON is the wire form of a Spec. Overrides travels as a pointer so an
 // all-default Spec serializes without an empty "overrides" object.
 type specJSON struct {
-	System        config.MemorySystem `json:"system"`
-	Benchmark     string              `json:"benchmark"`
-	Scale         workloads.Scale     `json:"scale"`
-	Params        map[string]int      `json:"params,omitempty"`
-	Overrides     *config.Overrides   `json:"overrides,omitempty"`
-	Cores         int                 `json:"cores,omitempty"`
-	Seed          uint64              `json:"seed,omitempty"`
-	FilterEntries int                 `json:"filter_entries,omitempty"`
-	MaxEvents     uint64              `json:"max_events,omitempty"`
+	System    config.MemorySystem `json:"system"`
+	Benchmark string              `json:"benchmark"`
+	Scale     workloads.Scale     `json:"scale"`
+	Params    map[string]int      `json:"params,omitempty"`
+	Overrides *config.Overrides   `json:"overrides,omitempty"`
+	Cores     int                 `json:"cores,omitempty"`
+	Seed      uint64              `json:"seed,omitempty"`
+	MaxEvents uint64              `json:"max_events,omitempty"`
 }
 
 // MarshalJSON encodes the Spec losslessly with the memory system and scale
 // by name, so specs survive service requests and disk cache entries intact.
 func (s Spec) MarshalJSON() ([]byte, error) {
 	sj := specJSON{
-		System:        s.System,
-		Benchmark:     s.Benchmark,
-		Scale:         s.Scale,
-		Cores:         s.Cores,
-		Seed:          s.Seed,
-		FilterEntries: s.FilterEntries,
-		MaxEvents:     s.MaxEvents,
+		System:    s.System,
+		Benchmark: s.Benchmark,
+		Scale:     s.Scale,
+		Cores:     s.Cores,
+		Seed:      s.Seed,
+		MaxEvents: s.MaxEvents,
 	}
 	if !s.Overrides.IsZero() {
 		ov := s.Overrides
@@ -262,13 +253,12 @@ func (s *Spec) UnmarshalJSON(b []byte) error {
 		return fmt.Errorf("system: bad spec: %w", err)
 	}
 	decoded := Spec{
-		System:        sj.System,
-		Benchmark:     sj.Benchmark,
-		Scale:         sj.Scale,
-		Cores:         sj.Cores,
-		Seed:          sj.Seed,
-		FilterEntries: sj.FilterEntries,
-		MaxEvents:     sj.MaxEvents,
+		System:    sj.System,
+		Benchmark: sj.Benchmark,
+		Scale:     sj.Scale,
+		Cores:     sj.Cores,
+		Seed:      sj.Seed,
+		MaxEvents: sj.MaxEvents,
 	}
 	if sj.Overrides != nil {
 		decoded.Overrides = *sj.Overrides
@@ -287,8 +277,8 @@ func (s *Spec) UnmarshalJSON(b []byte) error {
 // Config materializes the machine configuration the Spec describes: Table 1
 // defaults for the system, every override applied, and — when the core
 // count changes without an explicit mesh override — the mesh, memory
-// controllers and FilterDir re-dimensioned exactly as the legacy shrink
-// path did, so legacy and Overrides spellings build identical machines.
+// controllers and FilterDir re-dimensioned by applyShrink, so the legacy
+// Cores field and its Overrides twin build identical machines.
 func (s Spec) Config() config.Config {
 	def := config.ForSystem(s.System)
 	cfg := def
@@ -308,20 +298,13 @@ func (s Spec) Validate() error {
 	if s.Cores < 0 {
 		return fmt.Errorf("system: negative core count %d", s.Cores)
 	}
-	if s.FilterEntries < 0 {
-		return fmt.Errorf("system: negative filter size %d", s.FilterEntries)
-	}
 	if err := s.Overrides.Validate(); err != nil {
 		return fmt.Errorf("system: %w", err)
 	}
-	// A legacy shim and its Overrides twin naming different values is a
+	// The legacy shim and its Overrides twin naming different values is a
 	// contradiction, not a precedence question.
 	if s.Cores > 0 && s.Overrides.Cores > 0 && s.Cores != s.Overrides.Cores {
 		return fmt.Errorf("system: cores %d conflicts with overrides cores %d", s.Cores, s.Overrides.Cores)
-	}
-	if s.FilterEntries > 0 && s.Overrides.FilterEntries > 0 && s.FilterEntries != s.Overrides.FilterEntries {
-		return fmt.Errorf("system: filter_entries %d conflicts with overrides filter_entries %d",
-			s.FilterEntries, s.Overrides.FilterEntries)
 	}
 	// The workload and its parameters validate against the registry —
 	// unknown names, undeclared or out-of-range params, and unparsable
@@ -344,38 +327,19 @@ func (s Spec) Validate() error {
 // the measurements. Each call wires a fresh single-threaded engine, so
 // concurrent Executes of different Specs are independent and race-free.
 func (s Spec) Execute() (Results, error) {
-	return s.ExecuteContext(context.Background())
-}
-
-// ExecuteContext is Execute with cooperative cancellation: the engine polls
-// ctx between event batches, so client disconnects and per-request deadlines
-// stop a simulation mid-run instead of burning the rest of it.
-func (s Spec) ExecuteContext(ctx context.Context) (Results, error) {
-	return s.ExecuteRecorded(ctx, nil)
-}
-
-// ExecuteRecorded is ExecuteContext with an observer: rec (if non-nil) is
-// attached to the machine before the run, so it samples counters and/or
-// traces events while the benchmark executes. Telemetry never feeds back into
-// simulated behavior — Results are identical with or without rec — so it is
-// deliberately not part of the Spec (and thus not part of the cache
-// identity): it describes how to watch a run, not which run to do.
-func (s Spec) ExecuteRecorded(ctx context.Context, rec *telemetry.Recorder) (Results, error) {
-	r, _, err := s.executeOn(ctx, rec, false)
+	r, _, err := s.ExecuteContext(context.Background(), nil)
 	return r, err
 }
 
-// ExecuteObserved is ExecuteRecorded plus a post-run counter snapshot
-// (Machine.CounterSnapshot) — the full-fidelity input the analysis rules
-// want. Like telemetry, the snapshot is pure observation: Results are
-// identical to Execute's, and nothing here touches Spec identity.
-func (s Spec) ExecuteObserved(ctx context.Context, rec *telemetry.Recorder) (Results, map[string]uint64, error) {
-	return s.executeOn(ctx, rec, true)
-}
-
-// executeOn is the shared run path: validate, build the workload and the
-// machine, optionally attach an observer, run, optionally snapshot counters.
-func (s Spec) executeOn(ctx context.Context, rec *telemetry.Recorder, snapshot bool) (Results, map[string]uint64, error) {
+// ExecuteContext is the one run path: validate, build the workload and the
+// machine, run, and return the Results with the post-run counter snapshot
+// (Machine.CounterSnapshot) the analysis rules read. The engine polls ctx
+// between event batches, so client disconnects and per-request deadlines
+// stop a simulation mid-run. rec, when non-nil, is attached before the run
+// to sample counters and/or trace events. Telemetry and the snapshot are
+// pure observation — Results are identical with or without them — so
+// neither is part of the Spec or its cache identity.
+func (s Spec) ExecuteContext(ctx context.Context, rec *telemetry.Recorder) (Results, map[string]uint64, error) {
 	if err := s.Validate(); err != nil {
 		return Results{}, nil, err
 	}
@@ -392,7 +356,7 @@ func (s Spec) executeOn(ctx context.Context, rec *telemetry.Recorder, snapshot b
 		m.Attach(rec)
 	}
 	r, err := m.RunContext(ctx, s.MaxEvents)
-	if err != nil || !snapshot {
+	if err != nil {
 		return r, nil, err
 	}
 	return r, m.CounterSnapshot(), nil

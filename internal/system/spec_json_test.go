@@ -12,7 +12,7 @@ import (
 )
 
 // specVariants enumerates every combination of the optional Spec fields
-// (Cores, Seed, FilterEntries, MaxEvents set or zero) over a couple of
+// (Cores, Seed, an Overrides knob, MaxEvents set or zero) over a couple of
 // base (system, benchmark, scale) triples — 2 x 16 Specs.
 func specVariants() []Spec {
 	bases := []Spec{
@@ -30,7 +30,7 @@ func specVariants() []Spec {
 				s.Seed = 12345
 			}
 			if mask&4 != 0 {
-				s.FilterEntries = 16
+				s.Overrides.FilterEntries = 16
 			}
 			if mask&8 != 0 {
 				s.MaxEvents = 1 << 20
@@ -144,7 +144,7 @@ func TestSpecHashDistinguishesEveryField(t *testing.T) {
 		"scale":     {System: config.HybridReal, Benchmark: "IS", Scale: workloads.Small},
 		"cores":     {System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Cores: 8},
 		"seed":      {System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Seed: 9},
-		"filter":    {System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, FilterEntries: 8},
+		"filter":    {System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Overrides: config.Overrides{FilterEntries: 8}},
 		"maxevents": {System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, MaxEvents: 10},
 	}
 	for field, s := range mutations {
@@ -162,7 +162,7 @@ func TestExecuteContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := Spec{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny, Cores: 4}
-	_, err := s.ExecuteContext(ctx)
+	_, _, err := s.ExecuteContext(ctx, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -176,7 +176,7 @@ func TestSpecDefaultNormalization(t *testing.T) {
 	def := config.ForSystem(config.HybridReal)
 	explicit := base
 	explicit.Cores = def.Cores
-	explicit.FilterEntries = def.FilterEntries
+	explicit.Overrides.FilterEntries = def.FilterEntries
 	if base.Key() != explicit.Key() {
 		t.Fatalf("explicit defaults change Key: %q vs %q", explicit.Key(), base.Key())
 	}
@@ -195,7 +195,7 @@ func TestSpecDefaultNormalization(t *testing.T) {
 func TestSpecValidateRejectsNegativeOverrides(t *testing.T) {
 	bad := []Spec{
 		{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny, Cores: -4},
-		{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny, FilterEntries: -1},
+		{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny, Overrides: config.Overrides{FilterEntries: -1}},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -205,5 +205,18 @@ func TestSpecValidateRejectsNegativeOverrides(t *testing.T) {
 	var s Spec
 	if err := json.Unmarshal([]byte(`{"system":"cache","benchmark":"EP","scale":"tiny","cores":-4}`), &s); err == nil {
 		t.Fatal("decode accepted a negative core count")
+	}
+}
+
+// TestSpecJSONRejectsTopLevelFilterEntries: the filter size is an Overrides
+// knob; a top-level "filter_entries" is an unknown field like any other.
+func TestSpecJSONRejectsTopLevelFilterEntries(t *testing.T) {
+	var s Spec
+	err := json.Unmarshal([]byte(`{"system":"hybrid","benchmark":"IS","scale":"tiny","filter_entries":8}`), &s)
+	if err == nil || !strings.Contains(err.Error(), "filter_entries") {
+		t.Fatalf("decode = %v, want an unknown-field error", err)
+	}
+	if err := json.Unmarshal([]byte(`{"system":"hybrid","benchmark":"IS","scale":"tiny","overrides":{"filter_entries":8}}`), &s); err != nil {
+		t.Fatal(err)
 	}
 }

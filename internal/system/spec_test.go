@@ -24,7 +24,7 @@ func TestSpecConfigDefaults(t *testing.T) {
 
 func TestSpecConfigOverrides(t *testing.T) {
 	s := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny,
-		Cores: 8, FilterEntries: 16}
+		Cores: 8, Overrides: config.Overrides{FilterEntries: 16}}
 	cfg := s.Config()
 	if cfg.Cores != 8 {
 		t.Fatalf("Cores = %d, want 8", cfg.Cores)
@@ -48,7 +48,7 @@ func TestSpecKeyDistinguishesRuns(t *testing.T) {
 		{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Tiny},
 		{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Small},
 		{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Cores: 8},
-		{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, FilterEntries: 8},
+		{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Overrides: config.Overrides{FilterEntries: 8}},
 		{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny, Seed: 7},
 	}
 	seen := map[string]Spec{}
@@ -75,27 +75,31 @@ func TestSpecValidateRejectsUnknownBenchmark(t *testing.T) {
 	}
 }
 
-// TestSpecExecuteMatchesRunBenchmark pins the refactor: the declarative path
-// must reproduce the legacy convenience call exactly.
-func TestSpecExecuteMatchesRunBenchmark(t *testing.T) {
-	s := Spec{System: config.HybridIdeal, Benchmark: "EP", Scale: workloads.Tiny, Cores: 4}
-	got, err := s.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunBenchmark(config.HybridIdeal, workloads.Build("EP", workloads.Tiny), 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("Spec.Execute diverged from RunBenchmark:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 func TestSpecMaxEventsBudget(t *testing.T) {
 	s := Spec{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny,
 		Cores: 4, MaxEvents: 100}
 	if _, err := s.Execute(); err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("err = %v, want event-budget error", err)
+	}
+}
+
+// TestSpecUnbuildableMachinesFailCleanly: Specs that pass the registry
+// checks but name a machine the simulator cannot wire must come back as
+// errors, never as a panic mid-run.
+func TestSpecUnbuildableMachinesFailCleanly(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{System: config.CacheBased, Benchmark: "EP", Scale: workloads.Tiny,
+			Overrides: config.Overrides{MemControllers: 100}}, "memory controllers"},
+		{Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Tiny, Cores: 4,
+			Overrides: config.Overrides{SPMDirEntries: 1}}, "SPMDir entries"},
+		{Spec{System: config.CacheBased, Benchmark: "CG", Scale: workloads.Tiny, Cores: 4,
+			Overrides: config.Overrides{SPMDirEntries: 1}}, "SPMDir entries"},
+	} {
+		if _, err := tc.spec.Execute(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.spec.Key(), err, tc.want)
+		}
 	}
 }

@@ -34,12 +34,12 @@ func TestV2EntriesMissUnderV3(t *testing.T) {
 }
 
 // TestSpecLegacyOverridesEquivalence is the cache-compat regression guard:
-// a Spec using the legacy Cores/FilterEntries fields and the same run
-// spelled through Overrides must share one Hash, one Key and one Config —
-// otherwise upgrading a client would split the daemon's cache in two.
+// a Spec using the legacy Cores field and the same run spelled through
+// Overrides must share one Hash, one Key and one Config — otherwise
+// upgrading a client would split the daemon's cache in two.
 func TestSpecLegacyOverridesEquivalence(t *testing.T) {
 	legacy := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny,
-		Cores: 8, FilterEntries: 16}
+		Cores: 8, Overrides: config.Overrides{FilterEntries: 16}}
 	modern := Spec{System: config.HybridReal, Benchmark: "IS", Scale: workloads.Tiny}
 	modern.Overrides.Cores = 8
 	modern.Overrides.FilterEntries = 16

@@ -172,6 +172,13 @@ func Build(cfg config.Config, bench *compiler.Benchmark, seed uint64) (*Machine,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// The generator tiles each kernel lazily, mid-run; a buffer plan the
+	// SPMDir cannot hold must fail here, not panic inside the engine.
+	for i := range bench.Kernels {
+		if _, err := compiler.PlanBuffers(&bench.Kernels[i], cfg.SPMSize, cfg.SPMDirEntries, cfg.Cores); err != nil {
+			return nil, err
+		}
+	}
 	eng := sim.NewEngine()
 	mesh := noc.NewBW(eng, cfg.MeshWidth, cfg.MeshHeight, cfg.FlitBytes, cfg.LinkBandwidth, cfg.LinkLatency, cfg.RouterLatency)
 	dram := mem.NewSystem(eng, memControllerNodes(cfg), cfg.LineSize, cfg.MemLatency, cfg.MemCyclesPerLn)
@@ -456,20 +463,6 @@ func (m *Machine) collect() Results {
 	return r
 }
 
-// RunBenchmark is the one-call convenience: build the machine for sys and
-// run bench on it.
-func RunBenchmark(sys config.MemorySystem, bench *compiler.Benchmark, cores int, maxEvents uint64) (Results, error) {
-	cfg := config.ForSystem(sys)
-	if cores > 0 && cores != cfg.Cores {
-		cfg = shrink(cfg, cores)
-	}
-	m, err := Build(cfg, bench, 0xC0FFEE)
-	if err != nil {
-		return Results{}, err
-	}
-	return m.Run(maxEvents)
-}
-
 // meshFor picks the squarest w x h mesh covering exactly cores nodes: the
 // largest divisor pair, w <= h. For a prime (or otherwise poorly factorable)
 // core count the only cover is the degenerate 1 x N chain, whose NoC
@@ -491,10 +484,8 @@ func meshFor(cores int) (w, h int) {
 // applyShrink re-dimensions cfg's derived structures for a changed core
 // count: the mesh is re-factored, the memory controllers capped, and the
 // FilterDir floored (DESIGN.md §5 "Structure floors"). Each adjustment is
-// suppressed when ov pins the corresponding knob explicitly. This is the
-// single implementation behind both shrink (the legacy RunBenchmark path)
-// and Spec.Config — they must not diverge, because Spec.Hash() encodes the
-// machine this function produces.
+// suppressed when ov pins the corresponding knob explicitly. Spec.Hash()
+// encodes the machine this function produces.
 func applyShrink(cfg config.Config, ov config.Overrides) config.Config {
 	if ov.MeshWidth == 0 && ov.MeshHeight == 0 {
 		cfg.MeshWidth, cfg.MeshHeight = meshFor(cfg.Cores)
@@ -506,10 +497,4 @@ func applyShrink(cfg config.Config, ov config.Overrides) config.Config {
 		cfg.FilterDirEntries = cfg.Cores
 	}
 	return cfg
-}
-
-// shrink reconfigures the mesh for a smaller core count (tests, benches).
-func shrink(cfg config.Config, cores int) config.Config {
-	cfg.Cores = cores
-	return applyShrink(cfg, config.Overrides{})
 }

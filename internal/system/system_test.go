@@ -155,10 +155,11 @@ func TestEventBudgetEnforced(t *testing.T) {
 	}
 }
 
-func TestRunBenchmarkTinyWorkloads(t *testing.T) {
+func TestSpecTinyWorkloads(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, sys := range []config.MemorySystem{config.CacheBased, config.HybridReal} {
-			r, err := RunBenchmark(sys, workloads.Build(name, workloads.Tiny), 4, 500_000_000)
+			sp := Spec{System: sys, Benchmark: name, Scale: workloads.Tiny, Cores: 4, MaxEvents: 500_000_000}
+			r, err := sp.Execute()
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, sys, err)
 			}
@@ -170,7 +171,7 @@ func TestRunBenchmarkTinyWorkloads(t *testing.T) {
 }
 
 func TestShrinkGeometry(t *testing.T) {
-	cfg := shrink(config.ForSystem(config.HybridReal), 16)
+	cfg := Spec{System: config.HybridReal, Cores: 16}.Config()
 	if cfg.Cores != 16 || cfg.MeshWidth*cfg.MeshHeight != 16 {
 		t.Fatalf("shrink: %d cores, %dx%d", cfg.Cores, cfg.MeshWidth, cfg.MeshHeight)
 	}
@@ -180,7 +181,7 @@ func TestShrinkGeometry(t *testing.T) {
 }
 
 func TestSPFilterNeverExercised(t *testing.T) {
-	r, err := RunBenchmark(config.HybridReal, workloads.Build("SP", workloads.Tiny), 4, 500_000_000)
+	r, err := Spec{System: config.HybridReal, Benchmark: "SP", Scale: workloads.Tiny, Cores: 4, MaxEvents: 500_000_000}.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 // sets are maps rather than zero-defaulted struct fields.
 type ParamSpec struct {
 	// Name is the identifier used in "name:k=v" workload spellings,
-	// -wsweep flags, ?wsweep= query parameters, Spec JSON "params"
-	// objects, sweep CSV columns and the v3 hash encoding.
+	// -wsweep flags, Matrix "wsweep" axes, Spec JSON "params" objects,
+	// sweep CSV columns and the v3 hash encoding.
 	Name string
 	// Default is the value an unset parameter resolves to (at the Small
 	// scale; generators scale iteration counts down for Tiny).
@@ -308,9 +308,9 @@ func FormatParams(workload string, p map[string]int) string {
 }
 
 // ParseWorkload splits a "name" or "name:k=v,k2=v2" workload spelling — the
-// payload of a -workload flag, a matrix benchmarks entry, or a ?workload=
-// query parameter — into its name and sparse parameter assignment. The name
-// and parameters are validated against the registry.
+// payload of a -workload flag or a matrix benchmarks entry — into its name
+// and sparse parameter assignment. The name and parameters are validated
+// against the registry.
 func ParseWorkload(s string) (name string, params map[string]int, err error) {
 	name, rest, has := strings.Cut(s, ":")
 	name = strings.TrimSpace(name)
