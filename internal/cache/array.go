@@ -24,10 +24,11 @@ func (l *Line) Valid() bool { return l.State != Invalid }
 
 // Array is a set-associative cache array with tree-pseudoLRU replacement.
 type Array struct {
-	sets  int
-	ways  int
-	lines []Line   // sets*ways, row-major by set
-	plru  []uint64 // one tree-bit word per set
+	sets    int
+	setBits uint // log2(sets): the fold width in SetOf
+	ways    int
+	lines   []Line   // sets*ways, row-major by set
+	plru    []uint64 // one tree-bit word per set
 
 	hits, misses, evictions uint64
 }
@@ -44,11 +45,16 @@ func NewArray(sizeBytes, ways, lineSize int) *Array {
 		panic(fmt.Sprintf("cache: set count %d not a power of two (size=%d ways=%d line=%d)",
 			sets, sizeBytes, ways, lineSize))
 	}
+	setBits := uint(0)
+	for 1<<setBits < sets {
+		setBits++
+	}
 	return &Array{
-		sets:  sets,
-		ways:  ways,
-		lines: make([]Line, sets*ways),
-		plru:  make([]uint64, sets),
+		sets:    sets,
+		setBits: setBits,
+		ways:    ways,
+		lines:   make([]Line, sets*ways),
+		plru:    make([]uint64, sets),
 	}
 }
 
@@ -63,11 +69,7 @@ func (a *Array) Ways() int { return a.ways }
 // size) do not pathologically collide — real allocations carry random page
 // offsets that real caches benefit from; the fold stands in for that.
 func (a *Array) SetOf(lineAddr uint64) int {
-	bits := uint(0)
-	for 1<<bits < a.sets {
-		bits++
-	}
-	h := lineAddr ^ (lineAddr >> bits) ^ (lineAddr >> (2 * bits))
+	h := lineAddr ^ (lineAddr >> a.setBits) ^ (lineAddr >> (2 * a.setBits))
 	return int(h & uint64(a.sets-1))
 }
 

@@ -107,6 +107,24 @@ func TestArrayDoubleInsertPanics(t *testing.T) {
 	a.Insert(1, stShared)
 }
 
+// TestSetOfFold pins the set index to the XOR fold of the line address at
+// log2(sets)-bit strides, for every set count from 1 to 4096.
+func TestSetOfFold(t *testing.T) {
+	for sets := 1; sets <= 4096; sets *= 2 {
+		a := NewArray(sets*2*64, 2, 64)
+		bits := uint(0)
+		for 1<<bits < sets {
+			bits++
+		}
+		for _, la := range []uint64{0, 1, 0x3f, 0x1234_5678, 0xdead_beef_cafe, ^uint64(0)} {
+			want := int((la ^ la>>bits ^ la>>(2*bits)) & uint64(sets-1))
+			if got := a.SetOf(la); got != want {
+				t.Fatalf("%d sets: SetOf(%#x) = %d, want %d", sets, la, got, want)
+			}
+		}
+	}
+}
+
 func TestArrayDistinctSetsDoNotConflict(t *testing.T) {
 	a := NewArray(4<<10, 2, 64) // 32 sets, 2 ways
 	// Find three addresses in the same (hashed) set and one outside it.

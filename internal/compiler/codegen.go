@@ -38,6 +38,11 @@ const (
 
 	// Cache-based code generation emits work in fixed-size blocks.
 	cacheBlockIters = 2048
+
+	// workChunkIters bounds one refill's work phase: a tile's iterations
+	// are emitted this many at a time, so the instruction buffer stays
+	// a few KB per core whatever the tile size.
+	workChunkIters = 32
 )
 
 // BufferPlan describes the equal-size SPM buffer allocation the runtime
@@ -200,7 +205,8 @@ func Generate(b *Benchmark, opt GenOptions) isa.Program {
 	return g
 }
 
-// generator lazily materializes the instruction stream one tile at a time.
+// generator lazily materializes the instruction stream: a tile's control and
+// sync phases, then its work phase workChunkIters iterations at a time.
 type generator struct {
 	b   *Benchmark
 	opt GenOptions
@@ -213,6 +219,10 @@ type generator struct {
 	tile0  int // first tile owned by this core
 	tileN  int // one past the last
 	rnd    rng
+
+	// it is the next work iteration of the current tile, which spans
+	// [itStart, itEnd); it == itEnd once the tile's work is emitted.
+	it, itStart, itEnd int
 
 	buf []isa.Inst
 	pos int
@@ -240,6 +250,11 @@ func (g *generator) refill() bool {
 		return false
 	}
 	k := &g.b.Kernels[g.kernel]
+
+	if g.it < g.itEnd {
+		g.emitWork(k)
+		return true
+	}
 
 	if !g.inited {
 		g.initKernel(k)
@@ -304,17 +319,17 @@ func (g *generator) runtimePC(i int) uint64 {
 	return runtimeCodeBase + uint64(g.kernel%4)*kernelCodeSpan + uint64(i)*4
 }
 
-// emitTile emits control + sync + work for one tile (hybrid), or just the
-// work block (cache-based).
+// emitTile starts one tile: control + sync (hybrid) and the first chunk of
+// its work. Later refills emit the rest of the work through emitWork.
 func (g *generator) emitTile(k *Kernel, tile int) {
 	itStart := tile * g.plan.TileIters
 	itEnd := itStart + g.plan.TileIters
 	if itEnd > k.Iters {
 		itEnd = k.Iters
 	}
-	hybrid := g.opt.Hybrid && g.plan.NumBuffers > 0
+	g.it, g.itStart, g.itEnd = itStart, itStart, itEnd
 
-	if hybrid {
+	if g.opt.Hybrid && g.plan.NumBuffers > 0 {
 		// Control phase: one MAP per SPM reference (Fig. 3). MAP
 		// writes back the previously mapped chunk when the buffer is
 		// dirty and dma-gets the next chunk.
@@ -356,8 +371,19 @@ func (g *generator) emitTile(k *Kernel, tile int) {
 		}
 	}
 
-	// Work phase.
-	for it := itStart; it < itEnd; it++ {
+	g.emitWork(k)
+}
+
+// emitWork emits the next workChunkIters iterations of the current tile's
+// work phase.
+func (g *generator) emitWork(k *Kernel) {
+	itStart := g.itStart
+	itEnd := g.it + workChunkIters
+	if itEnd > g.itEnd {
+		itEnd = g.itEnd
+	}
+	hybrid := g.opt.Hybrid && g.plan.NumBuffers > 0
+	for it := g.it; it < itEnd; it++ {
 		slot := 0
 		bufIdx := 0
 		for ri := range k.Refs {
@@ -393,6 +419,7 @@ func (g *generator) emitTile(k *Kernel, tile int) {
 				PC: g.workPC(slot), Phase: isa.PhaseWork})
 		}
 	}
+	g.it = itEnd
 }
 
 // emitKernelEpilogue writes dirty buffers back (hybrid) and joins the

@@ -65,6 +65,10 @@ type Mesh struct {
 	linkLat   sim.Time
 	routerLat sim.Time
 
+	// xOf[n], yOf[n] are node n's mesh coordinates, so routing never
+	// divides by the width.
+	xOf, yOf []int
+
 	// linkFree[node][dir] is the first cycle the link leaving node in
 	// direction dir is available.
 	linkFree [][numDirs]sim.Time
@@ -102,7 +106,7 @@ func NewBW(eng *sim.Engine, w, h, flitBytes, linkBW, linkLat, routerLat int) *Me
 	if flitBytes <= 0 || linkBW <= 0 {
 		panic("noc: flitBytes and linkBW must be positive")
 	}
-	return &Mesh{
+	m := &Mesh{
 		eng:       eng,
 		w:         w,
 		h:         h,
@@ -110,8 +114,14 @@ func NewBW(eng *sim.Engine, w, h, flitBytes, linkBW, linkLat, routerLat int) *Me
 		linkBW:    linkBW,
 		linkLat:   sim.Time(linkLat),
 		routerLat: sim.Time(routerLat),
+		xOf:       make([]int, w*h),
+		yOf:       make([]int, w*h),
 		linkFree:  make([][numDirs]sim.Time, w*h),
 	}
+	for n := range m.xOf {
+		m.xOf[n], m.yOf[n] = n%w, n/w
+	}
+	return m
 }
 
 // occupancy returns the cycles a packet of flits holds one link.
@@ -133,9 +143,7 @@ func (m *Mesh) Flits(n int) int {
 
 // Hops returns the XY-routing hop count between two nodes.
 func (m *Mesh) Hops(src, dst int) int {
-	sx, sy := src%m.w, src/m.w
-	dx, dy := dst%m.w, dst/m.w
-	return abs(sx-dx) + abs(sy-dy)
+	return abs(m.xOf[src]-m.xOf[dst]) + abs(m.yOf[src]-m.yOf[dst])
 }
 
 func abs(v int) int {
@@ -153,7 +161,7 @@ func abs(v int) int {
 type packet struct {
 	m        *Mesh
 	cur, dst int
-	flits    int
+	occ      sim.Time // cycles the packet holds each link it crosses
 	start    sim.Time
 	deliver  sim.Cont
 	next     *packet // free-list link
@@ -197,14 +205,14 @@ func (p *packet) step() {
 	if m.linkFree[p.cur][dir] > ready {
 		ready = m.linkFree[p.cur][dir]
 	}
-	m.linkFree[p.cur][dir] = ready + m.occupancy(p.flits)
+	m.linkFree[p.cur][dir] = ready + p.occ
 
 	depart := ready - m.eng.Now()
 	arrive := depart + m.routerLat + m.linkLat
 	if next == p.dst {
 		// Tail serialization only charged once, at the final hop;
 		// intermediate hops pipeline flits.
-		arrive += m.occupancy(p.flits) - 1
+		arrive += p.occ - 1
 	}
 	p.cur = next
 	m.eng.ScheduleCont(arrive, p)
@@ -236,7 +244,7 @@ func (m *Mesh) SendCont(src, dst, bytes int, cat Category, deliver sim.Cont) {
 	}
 
 	p := m.allocPkt()
-	p.cur, p.dst, p.flits, p.start, p.deliver = src, dst, flits, m.eng.Now(), deliver
+	p.cur, p.dst, p.occ, p.start, p.deliver = src, dst, m.occupancy(flits), m.eng.Now(), deliver
 	if src == dst {
 		// Local delivery still pays the router traversal.
 		m.eng.ScheduleCont(m.routerLat, p)
@@ -248,8 +256,8 @@ func (m *Mesh) SendCont(src, dst, bytes int, cat Category, deliver sim.Cont) {
 // xyNext returns the neighbour on the XY route toward dst and the link
 // direction used to reach it.
 func (m *Mesh) xyNext(cur, dst int) (int, direction) {
-	cx, cy := cur%m.w, cur/m.w
-	dx, dy := dst%m.w, dst/m.w
+	cx, cy := m.xOf[cur], m.yOf[cur]
+	dx, dy := m.xOf[dst], m.yOf[dst]
 	switch {
 	case cx < dx:
 		return cur + 1, east

@@ -14,17 +14,31 @@ func newMesh(t *testing.T, w, h int) (*sim.Engine, *Mesh) {
 }
 
 func TestHopsXY(t *testing.T) {
-	_, m := newMesh(t, 8, 8)
-	cases := []struct{ src, dst, want int }{
-		{0, 0, 0},
-		{0, 7, 7},
-		{0, 63, 14},
-		{9, 18, 2}, // (1,1) -> (2,2)
-		{63, 0, 14},
+	cases := []struct{ w, h, src, dst, want int }{
+		{8, 8, 0, 0, 0},
+		{8, 8, 0, 7, 7},
+		{8, 8, 0, 63, 14},
+		{8, 8, 9, 18, 2}, // (1,1) -> (2,2)
+		{8, 8, 63, 0, 14},
+		// A 1x7 chain, the mesh a prime core count gets (DESIGN.md §5):
+		// every node sits in column 0.
+		{1, 7, 0, 6, 6},
+		{1, 7, 6, 0, 6},
+		{1, 7, 2, 5, 3},
+		{1, 7, 4, 4, 0},
+		// A 3x5 mesh: ids wrap every 3 nodes, so id distance is not hop
+		// distance.
+		{3, 5, 0, 14, 6},  // (0,0) -> (2,4)
+		{3, 5, 2, 12, 6},  // (2,0) -> (0,4)
+		{3, 5, 2, 3, 3},   // (2,0) -> (0,1)
+		{3, 5, 5, 7, 2},   // (2,1) -> (1,2)
+		{3, 5, 14, 0, 6},  // (2,4) -> (0,0)
+		{3, 5, 13, 13, 0}, // (1,4)
 	}
 	for _, c := range cases {
+		_, m := newMesh(t, c.w, c.h)
 		if got := m.Hops(c.src, c.dst); got != c.want {
-			t.Errorf("Hops(%d,%d) = %d, want %d", c.src, c.dst, got, c.want)
+			t.Errorf("%dx%d: Hops(%d,%d) = %d, want %d", c.w, c.h, c.src, c.dst, got, c.want)
 		}
 	}
 }
@@ -71,6 +85,31 @@ func TestMultiHopLatency(t *testing.T) {
 	eng.Run()
 	if arrived != 28 {
 		t.Fatalf("14-hop packet arrived at %d, want 28", arrived)
+	}
+}
+
+// TestMultiHopLatencyNonSquare routes across meshes whose width is not their
+// height, where a wrong coordinate table shows up as a wrong hop count.
+func TestMultiHopLatencyNonSquare(t *testing.T) {
+	// Router + link per hop, tail serialization once at the end.
+	cases := []struct {
+		w, h, src, dst, bytes int
+		want                  sim.Time
+	}{
+		{3, 5, 2, 12, 8, 12},  // (2,0) -> (0,4): 6 hops, 1 flit
+		{3, 5, 12, 2, 64, 15}, // the reverse, 4 flits
+		{3, 5, 2, 3, 64, 9},   // (2,0) -> (0,1): 3 hops between adjacent ids
+		{1, 7, 0, 6, 64, 15},  // the 1x7 chain end to end
+	}
+	for _, c := range cases {
+		eng, m := newMesh(t, c.w, c.h)
+		var arrived sim.Time
+		m.Send(c.src, c.dst, c.bytes, Read, func() { arrived = eng.Now() })
+		eng.Run()
+		if arrived != c.want {
+			t.Errorf("%dx%d %d->%d (%dB) arrived at %d, want %d",
+				c.w, c.h, c.src, c.dst, c.bytes, arrived, c.want)
+		}
 	}
 }
 
@@ -237,4 +276,35 @@ func TestFlitHopAccountingProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkMeshHop measures the NoC's host cost per hop: a steady stream of
+// 4-flit packets on an 8x8 mesh, each sent to the mirror node (2 to 14 hops),
+// on a warm engine and packet pool. It is the unit-level twin of perfbench's
+// noc.ns_per_flit_hop.
+func BenchmarkMeshHop(b *testing.B) {
+	eng := sim.NewEngine()
+	m := New(eng, 8, 8, 16, 1, 1)
+	send := func(i int) int {
+		src := i % 64
+		dst := 63 - src
+		m.SendCont(src, dst, 64, Read, sim.Nop)
+		return m.Hops(src, dst)
+	}
+	for i := 0; i < 64; i++ {
+		send(i)
+	}
+	eng.Run()
+	hops := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hops += send(i)
+		if i%64 == 63 {
+			eng.Run()
+		}
+	}
+	eng.Run()
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
 }

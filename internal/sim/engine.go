@@ -10,11 +10,12 @@
 //
 // Internally the queue is a two-level bucket (calendar) queue. Events within
 // the near horizon — the next 2^horizonBits cycles — land in a ring of
-// per-cycle FIFO slabs, so the hot path (hardware latencies are tens to
-// hundreds of cycles) is an append on schedule and a cursor bump on fire:
-// no comparisons, no reheapification, no per-event allocation in steady
-// state. The rare event beyond the horizon goes to a typed overflow min-heap
-// and migrates into the ring as the window advances. See DESIGN.md §3.
+// per-cycle FIFO lists linked through one pooled node arena, so the hot path
+// (hardware latencies are tens to hundreds of cycles) is a tail link on
+// schedule and a head unlink on fire: no comparisons, no reheapification, no
+// per-event allocation in steady state. The rare event beyond the horizon
+// goes to a typed overflow min-heap and migrates into the ring as the window
+// advances. See DESIGN.md §3.
 package sim
 
 import "fmt"
@@ -79,49 +80,19 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// slab is one ring bucket: the FIFO of events for a single cycle. head
-// indexes the next event to fire; the backing array is reused across
-// window laps, so steady-state scheduling allocates nothing.
-type slab struct {
-	head int
-	evs  []event
+// node is one ring resident: an arena slot linked into its cycle's FIFO.
+// The cycle itself is implied by the bucket, so only seq (for the ordered
+// insert of a drained overflow event) and the continuation are kept.
+type node struct {
+	seq  uint64
+	c    Cont
+	next int32 // arena index+1 of the next node in the bucket or free list; 0 ends it
 }
 
-func (s *slab) empty() bool { return s.head == len(s.evs) }
-
-// insert places ev keeping the pending tail sorted by seq. The fast path is
-// a plain append: seq grows monotonically, so live scheduling always lands
-// at the end. The ordered-insert path only runs when the overflow heap
-// drains an old (smaller-seq) event into a cycle that already has residents.
-func (s *slab) insert(ev event) {
-	if s.empty() {
-		s.head = 0
-		s.evs = s.evs[:0]
-	}
-	if n := len(s.evs); n == s.head || s.evs[n-1].seq < ev.seq {
-		s.evs = append(s.evs, ev)
-		return
-	}
-	i := s.head
-	for i < len(s.evs) && s.evs[i].seq < ev.seq {
-		i++
-	}
-	s.evs = append(s.evs, event{})
-	copy(s.evs[i+1:], s.evs[i:])
-	s.evs[i] = ev
-}
-
-// popFront removes and returns the earliest-scheduled pending event.
-func (s *slab) popFront() event {
-	ev := s.evs[s.head]
-	s.evs[s.head] = event{} // release the closure
-	s.head++
-	if s.head == len(s.evs) {
-		s.head = 0
-		s.evs = s.evs[:0]
-	}
-	return ev
-}
+// bucket is the FIFO of ring events for one cycle, as arena index+1 of its
+// first and last node. The zero bucket is empty, so a fresh ring needs no
+// initialisation.
+type bucket struct{ head, tail int32 }
 
 // Engine is the event-driven simulation core. The zero value is not usable;
 // construct with NewEngine.
@@ -129,9 +100,15 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	ring      []slab  // len horizon; slot for cycle t is ring[t&ringMask]
-	ringCount int     // events currently in the ring
-	overflow  []event // min-heap by (when, seq): events beyond the horizon
+	ring      []bucket // len horizon; bucket for cycle t is ring[t&ringMask]
+	ringCount int      // events currently in the ring
+	overflow  []event  // min-heap by (when, seq): events beyond the horizon
+
+	// nodes is the arena every ring bucket links into; free heads its
+	// free list (index+1, 0 when empty). Fired nodes are recycled, so the
+	// arena grows only to the peak number of pending ring events.
+	nodes []node
+	free  int32
 
 	// scanHint is a cycle such that no pending ring event is earlier;
 	// the fire-path scan starts here instead of at now, making the scan
@@ -144,7 +121,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at cycle 0.
 func NewEngine() *Engine {
-	return &Engine{ring: make([]slab, horizon)}
+	return &Engine{ring: make([]bucket, horizon)}
 }
 
 // Now reports the current simulated cycle.
@@ -201,17 +178,63 @@ func (e *Engine) AtCont(t Time, c Cont) {
 }
 
 func (e *Engine) pushRing(ev event) {
-	e.ring[ev.when&ringMask].insert(ev)
+	var i int32
+	if i = e.free; i != 0 {
+		e.free = e.nodes[i-1].next
+		e.nodes[i-1] = node{seq: ev.seq, c: ev.c}
+	} else {
+		e.nodes = append(e.nodes, node{seq: ev.seq, c: ev.c})
+		i = int32(len(e.nodes))
+	}
+	e.link(&e.ring[ev.when&ringMask], i, ev.seq)
 	e.ringCount++
 	if ev.when < e.scanHint {
 		e.scanHint = ev.when
 	}
 }
 
+// link appends node i to bucket b, keeping the bucket sorted by seq. The fast
+// path is a tail append: seq grows monotonically, so live scheduling always
+// lands at the end. The ordered walk only runs when the overflow heap drains
+// an old (smaller-seq) event into a cycle that already has residents.
+func (e *Engine) link(b *bucket, i int32, seq uint64) {
+	if b.tail == 0 {
+		b.head, b.tail = i, i
+		return
+	}
+	if e.nodes[b.tail-1].seq < seq {
+		e.nodes[b.tail-1].next = i
+		b.tail = i
+		return
+	}
+	// The tail is younger, so the walk stops inside the list.
+	at := &b.head
+	for e.nodes[*at-1].seq < seq {
+		at = &e.nodes[*at-1].next
+	}
+	e.nodes[i-1].next = *at
+	*at = i
+}
+
+// unlinkHead removes the earliest-scheduled event of a non-empty bucket,
+// returns its node to the free list and hands back the continuation.
+func (e *Engine) unlinkHead(b *bucket) Cont {
+	i := b.head
+	n := &e.nodes[i-1]
+	c := n.c
+	b.head = n.next
+	if b.head == 0 {
+		b.tail = 0
+	}
+	n.c = nil // release the continuation
+	n.next = e.free
+	e.free = i
+	return c
+}
+
 // drainTo migrates overflow events with when < limit into the ring. Events
-// drain in (when, seq) order; slab.insert restores FIFO position ahead of
-// any younger residents scheduled after the window already covered their
-// cycle.
+// drain in (when, seq) order; link restores FIFO position ahead of any
+// younger residents scheduled after the window already covered their cycle.
 func (e *Engine) drainTo(limit Time) {
 	for len(e.overflow) > 0 && e.overflow[0].when < limit {
 		e.pushRing(e.popOverflow())
@@ -237,20 +260,22 @@ func (e *Engine) Step() bool {
 			e.now = t
 		}
 	}
-	e.drainTo(e.now + horizon)
+	if len(e.overflow) > 0 {
+		e.drainTo(e.now + horizon)
+	}
 	s := e.scanHint
 	if s < e.now {
 		s = e.now
 	}
-	for e.ring[s&ringMask].empty() {
+	for e.ring[s&ringMask].head == 0 {
 		s++
 	}
 	e.scanHint = s
-	ev := e.ring[s&ringMask].popFront()
+	c := e.unlinkHead(&e.ring[s&ringMask])
 	e.ringCount--
 	e.now = s
 	e.fired++
-	ev.c.Fire()
+	c.Fire()
 	return true
 }
 
@@ -265,7 +290,7 @@ func (e *Engine) nextTime() (Time, bool) {
 		if s < e.now {
 			s = e.now
 		}
-		for e.ring[s&ringMask].empty() {
+		for e.ring[s&ringMask].head == 0 {
 			s++
 		}
 		e.scanHint = s

@@ -241,26 +241,28 @@ func TestFarHorizonOverflow(t *testing.T) {
 	}
 }
 
-// TestOverflowDrainPreservesFIFO pins the subtle merge case: an event
+// TestOverflowDrainPreservesFIFO pins the subtle merge case: events
 // scheduled for cycle T while T was beyond the horizon (overflow) must still
 // fire BEFORE an event scheduled for the same T after the window had advanced
-// to cover it (ring resident), because it was scheduled first.
+// to cover it (ring resident), because they were scheduled first. The second
+// drained event lands between the first and the resident.
 func TestOverflowDrainPreservesFIFO(t *testing.T) {
 	e := NewEngine()
 	const target = 3 * horizon / 2 // beyond the initial window
 	var order []string
 	e.At(target, func() { order = append(order, "early") }) // goes to overflow
+	e.At(target, func() { order = append(order, "early2") })
 	// An intermediate event inside the window; by the time it fires, the
 	// window covers target, so the next schedule is a ring resident.
 	e.Schedule(horizon-1, func() {
 		e.At(target, func() { order = append(order, "late") })
 	})
 	e.Run()
-	if got := len(order); got != 2 {
-		t.Fatalf("fired %d events at target, want 2", got)
+	if got := len(order); got != 3 {
+		t.Fatalf("fired %d events at target, want 3", got)
 	}
-	if order[0] != "early" || order[1] != "late" {
-		t.Fatalf("order = %v, want [early late] (overflow event was scheduled first)", order)
+	if order[0] != "early" || order[1] != "early2" || order[2] != "late" {
+		t.Fatalf("order = %v, want [early early2 late] (overflow events were scheduled first)", order)
 	}
 }
 
@@ -329,6 +331,30 @@ func TestScheduleBehindScanHint(t *testing.T) {
 	}
 }
 
+// TestArenaReusedAcrossBursts pins the arena's bound: once a burst of
+// pending events has drained, its nodes sit on the free list, so a second
+// burst of the same size — same-cycle runs, spread cycles and drained
+// overflow events alike — schedules and fires without allocating.
+func TestArenaReusedAcrossBursts(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	burst := func() {
+		for j := 0; j < 512; j++ {
+			e.Schedule(Time(j%13), fn)
+			e.Schedule(Time(j%300), fn)
+			e.Schedule(horizon+Time(j%5), fn)
+		}
+		e.Run()
+	}
+	burst()
+	if got := testing.AllocsPerRun(20, burst); got != 0 {
+		t.Fatalf("second burst allocated %v times per run, want 0", got)
+	}
+	if n := len(e.nodes); n > 3*512 {
+		t.Fatalf("arena holds %d nodes, want at most the peak pending count %d", n, 3*512)
+	}
+}
+
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -342,12 +368,12 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 
 // BenchmarkEngineSteadyState measures the per-event cost with a warm engine:
 // a self-sustaining event cascade like the hardware models generate. This is
-// the number the bucket queue optimizes — slab arrays are reused, so the
-// steady state allocates nothing per event.
+// the number the bucket queue optimizes — fired arena nodes are recycled, so
+// the steady state allocates nothing per event.
 func BenchmarkEngineSteadyState(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
-	// Warm the slabs once.
+	// Warm the arena once.
 	for j := 0; j < 64; j++ {
 		e.Schedule(Time(j%7), fn)
 	}
