@@ -47,8 +47,6 @@ func newTestCluster(t *testing.T, remotes map[string]*fakePeer, mutate func(*Opt
 		Peers:          peers,
 		HealthInterval: -1,
 		BackoffBase:    time.Millisecond,
-		HedgeDelay:     5 * time.Millisecond,
-		FillTimeout:    5 * time.Second,
 	}
 	if mutate != nil {
 		mutate(&opt)
@@ -126,53 +124,6 @@ func TestOwnerSkipsDownPeers(t *testing.T) {
 	}
 }
 
-// TestFillHitFromOwner: a fill returns the owner's entry body verbatim and
-// carries the forwarded marker so the owner cannot loop it back.
-func TestFillHitFromOwner(t *testing.T) {
-	b := newFakePeer(t)
-	var sawHeader atomic.Value
-	b.set(func(w http.ResponseWriter, r *http.Request) {
-		sawHeader.Store(r.Header.Get(ForwardedHeader))
-		w.Write([]byte(`{"payload":true}`))
-	})
-	c := newTestCluster(t, map[string]*fakePeer{"b": b}, nil)
-	key := findKey(t, c, func(r []string) bool { return r[0] == "b" })
-
-	body, ok := c.Fill(context.Background(), key)
-	if !ok || string(body) != `{"payload":true}` {
-		t.Fatalf("Fill = %q, %v, want the owner's body", body, ok)
-	}
-	if got, _ := sawHeader.Load().(string); got != "a" {
-		t.Fatalf("fill probe carried %s=%q, want the sender ID", ForwardedHeader, got)
-	}
-}
-
-// TestFillHedgesToNextMember: an owner that misses (404) must not end the
-// fill — the next ranked member is probed immediately and its hit wins.
-func TestFillHedgesToNextMember(t *testing.T) {
-	b, d := newFakePeer(t), newFakePeer(t)
-	miss := func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusNotFound) }
-	hit := func(w http.ResponseWriter, r *http.Request) { w.Write([]byte(`ok`)) }
-	c := newTestCluster(t, map[string]*fakePeer{"b": b, "d": d}, nil)
-
-	// Whichever remote ranks first for this key misses; the other hits. The
-	// key places both remotes ahead of self, so the fill has two candidates.
-	key := findKey(t, c, func(r []string) bool { return r[2] == "a" })
-	cands := c.fillCandidates(key)
-	if len(cands) != 2 {
-		t.Fatalf("fillCandidates = %d members, want 2", len(cands))
-	}
-	first := map[string]*fakePeer{"b": b, "d": d}[cands[0].id]
-	second := map[string]*fakePeer{"b": b, "d": d}[cands[1].id]
-	first.set(miss)
-	second.set(hit)
-
-	body, ok := c.Fill(context.Background(), key)
-	if !ok || string(body) != "ok" {
-		t.Fatalf("Fill = %q, %v, want the second member's hit", body, ok)
-	}
-}
-
 // TestForwardRetries429HonoringRetryAfter: a shed answer is retried after at
 // least the server's Retry-After, through the hooked clock — no real sleeps.
 func TestForwardRetries429HonoringRetryAfter(t *testing.T) {
@@ -203,10 +154,12 @@ func TestForwardRetries429HonoringRetryAfter(t *testing.T) {
 }
 
 // TestForwardReturnsFinal429: retries exhausted on a persistent shed hand
-// the 429 back (nil error) so the service can relay it to the client.
+// the 429 back (nil error); the caller decides what a final shed means.
 func TestForwardReturnsFinal429(t *testing.T) {
 	b := newFakePeer(t)
+	var sawHeader atomic.Value
 	b.set(func(w http.ResponseWriter, r *http.Request) {
+		sawHeader.Store(r.Header.Get(ForwardedHeader))
 		w.WriteHeader(http.StatusTooManyRequests)
 	})
 	c := newTestCluster(t, map[string]*fakePeer{"b": b}, nil)
@@ -215,6 +168,10 @@ func TestForwardReturnsFinal429(t *testing.T) {
 	status, _, err := c.Forward(context.Background(), "b", http.MethodPost, "/v1/runs", nil)
 	if err != nil || status != http.StatusTooManyRequests {
 		t.Fatalf("Forward = %d, %v, want a relayed 429 with nil error", status, err)
+	}
+	// The forwarded marker names the sender, so the peer never re-routes.
+	if got, _ := sawHeader.Load().(string); got != "a" {
+		t.Fatalf("forward carried %s=%q, want the sender ID", ForwardedHeader, got)
 	}
 }
 
@@ -323,9 +280,6 @@ func TestClosedClusterRefusesWork(t *testing.T) {
 	b := newFakePeer(t)
 	c := newTestCluster(t, map[string]*fakePeer{"b": b}, nil)
 	c.Close()
-	if _, ok := c.Fill(context.Background(), "k"); ok {
-		t.Fatal("Fill succeeded on a closed cluster")
-	}
 	if _, _, err := c.Forward(context.Background(), "b", http.MethodGet, "/", nil); err == nil {
 		t.Fatal("Forward succeeded on a closed cluster")
 	}

@@ -361,7 +361,7 @@ type LocalProber struct{}
 
 // Probe implements Prober.
 func (LocalProber) Probe(ctx context.Context, sp system.Spec) (system.Results, bool, error) {
-	r := runner.RunOne(ctx, sp)
+	r := runner.RunOne(ctx, sp, nil)
 	return r.Res, false, r.Err
 }
 

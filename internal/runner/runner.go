@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/system"
+	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -34,10 +35,11 @@ type Result struct {
 }
 
 // RunOne executes a single Spec under ctx and times it — the unit of work
-// shared by the sweep workers below and by the service's job queue.
-func RunOne(ctx context.Context, spec system.Spec) Result {
+// shared by the sweep workers below, the planner, and the service's job
+// queue. A non-nil rec samples the run's counters (telemetry).
+func RunOne(ctx context.Context, spec system.Spec, rec *telemetry.Recorder) Result {
 	t0 := time.Now()
-	res, _, err := spec.ExecuteContext(ctx, nil)
+	res, _, err := spec.ExecuteContext(ctx, rec)
 	return Result{Spec: spec, Res: res, Err: err, Wall: time.Since(t0)}
 }
 
@@ -91,7 +93,7 @@ func RunContext(ctx context.Context, specs []system.Spec, opt Options) []Result 
 					results[i] = Result{Spec: specs[i], Err: err}
 					continue
 				}
-				results[i] = RunOne(ctx, specs[i])
+				results[i] = RunOne(ctx, specs[i], nil)
 				if opt.Progress != nil {
 					r := results[i]
 					mu.Lock()

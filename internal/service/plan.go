@@ -85,36 +85,20 @@ type PlanEvent struct {
 	Error   string           `json:"error,omitempty"`
 }
 
-// startJob begins execution of one spec through the shared service path —
-// cache short-circuit, then cluster owner-routing (when fanout), then the
-// local bounded queue — and returns the job to wait on. Sweeps and plans
-// both produce their work through here.
-func (s *Server) startJob(ctx context.Context, sp system.Spec, fanout bool) *job {
-	if res, ok := s.cache.Get(sp); ok {
-		return doneJob(sp, res)
-	}
-	j := newJob(ctx, nil, sp)
-	if s.cluster != nil && fanout {
-		if owner, local := s.cluster.Owner(j.key); !local {
-			go s.runRemote(ctx, owner, j)
-			return j
-		}
-	}
-	s.enqueueLocal(ctx, j)
-	return j
-}
-
 // serverProber adapts the service execution path to planner.Prober: each
 // probe is one job, so planner probes hit the content-addressed cache, join
 // in-flight identical runs, and owner-route across the fleet exactly like
 // sweep runs.
 type serverProber struct {
-	s      *Server
-	fanout bool
+	s *Server
+	o reqShape
 }
 
 func (p serverProber) Probe(ctx context.Context, sp system.Spec) (system.Results, bool, error) {
-	j := p.s.startJob(ctx, sp, p.fanout)
+	j, err := p.s.startJob(ctx, sp, p.o)
+	if err != nil {
+		return system.Results{}, false, err
+	}
 	select {
 	case <-j.done:
 	case <-ctx.Done():
@@ -163,7 +147,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	prober := serverProber{s: s, fanout: r.Header.Get(cluster.ForwardedHeader) == ""}
+	prober := serverProber{s: s, o: reqShape{forwarded: r.Header.Get(cluster.ForwardedHeader) != ""}}
 	emit := func(p planner.Probe) error {
 		s.planProbes.Inc()
 		if p.Cached {

@@ -29,19 +29,23 @@
 //	                         run (internal/analysis), derived on demand from
 //	                         its results, resolved config, and — when the
 //	                         run was observed — its stored timeline
-//	GET  /v1/cache/{key}     one cache entry by key (fleet peer fills)
+//	GET  /v1/cache/{key}     one cache entry by key
 //	PUT  /v1/cache/{key}     adopt a peer-computed entry (owner back-fill)
 //	GET  /v1/cluster         fleet membership, ring state, ?key= ownership
 //	GET  /v1/healthz         liveness plus queue depth and build version
 //	GET  /v1/stats           cache hit rate, queue, and run counters
 //	GET  /metrics            Prometheus text exposition (internal/metrics)
 //
-// Submissions flow through a bounded job queue drained by a fixed pool of
-// worker goroutines, each of which executes via rescache.GetOrRun — so a
-// Spec the daemon has seen before costs a map lookup, and N concurrent
-// requests for the same Spec cost one simulation. Sweep jobs are bound to
-// their request's context: a client disconnect cancels queued and in-flight
-// work (system.Machine.RunContext polls the context mid-run).
+// Every request shape — a /v1/runs spec, list or matrix, a sweep run, a
+// plan probe — becomes a job through startJob and passes the same stages:
+// admit (shutdown check, cache hit), route (in fleet mode, one forward to
+// the key's ring owner), and a bounded local queue drained by a fixed pool
+// of workers, each of which executes via rescache.GetOrRun → runner.RunOne.
+// So a Spec the daemon has seen before costs a map lookup, and N concurrent
+// requests for the same Spec, in any shape and with or without telemetry,
+// cost one simulation. Sweep jobs are bound to their request's context: a
+// client disconnect cancels queued and in-flight work
+// (system.Machine.RunContext polls the context mid-run).
 package service
 
 import (
@@ -96,10 +100,10 @@ type Options struct {
 	Log *slog.Logger
 
 	// Cluster federates this daemon into a sweep fleet (internal/cluster):
-	// runs are owner-routed by Spec.Hash over the consistent-hash ring,
-	// non-owned specs try a peer cache fill before computing, locally
-	// computed non-owned results are offered back to their owners, and
-	// sweeps fan out across the fleet. nil means single-node operation.
+	// every job is forwarded once to the owner of its Spec.Hash on the
+	// consistent-hash ring, so requests of any shape fan out across the
+	// fleet, and results computed here for a key another member owns are
+	// offered back to it. nil means single-node operation.
 	Cluster *cluster.Cluster
 }
 
@@ -219,7 +223,7 @@ func (s *Server) initMetrics() {
 		"Corrupt or unreadable disk-tier entries skipped at lookup.",
 		func() uint64 { return s.cache.Stats().DiskErrors })
 	r.CounterFunc("hybridsimd_cache_peer_fills_total",
-		"Results adopted from fleet peers (cache fills and owner back-fills).",
+		"Results adopted from fleet peers (forwarded runs and owner back-fills).",
 		func() uint64 { return s.cache.Stats().PeerFills })
 	r.GaugeFunc("hybridsimd_cache_entries", "Memory-tier population.",
 		func() int64 { return int64(s.cache.Stats().Entries) })
@@ -328,11 +332,13 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one job through the cache and publishes its outcome. In
-// fleet mode a spec this node does not own first tries a peer cache fill
-// (the owner computed or collected it already), and a result this node had
-// to compute anyway — owner down, fill missed — is offered back to the
-// owner so the fleet converges on one copy per shard.
+// execute runs one job through the cache and publishes its outcome — the
+// one execution path, whatever request shape queued the job. A telemetry
+// job records its run; when GetOrRun answered it without running (a cached
+// result, or another job's flight), it runs once more to produce its
+// timeline. A result computed here for a key another member owns (the
+// forward failed, or the job asked for telemetry) is offered to the owner
+// so the fleet converges on one copy per shard.
 func (s *Server) execute(j *job) {
 	// A job whose submitter vanished (sweep disconnect, deadline) is
 	// dropped here instead of burning a worker on a dead request.
@@ -341,78 +347,42 @@ func (s *Server) execute(j *job) {
 		s.failed.Add(1)
 		return
 	}
-	if j.tel != nil && j.tel.Interval > 0 {
-		s.executeRecorded(j)
-		return
-	}
 	t0 := time.Now()
-	remoteOwned := false
-	if s.cluster != nil && !s.cache.Contains(j.key) {
-		if _, local := s.cluster.Owner(j.key); !local {
-			remoteOwned = true
-			if e, ok := s.peerFill(j.ctx, j.key); ok {
-				s.cache.FillPeer(e.Spec, e.Res)
-				j.finish(e.Res, true, 0, nil)
-				s.finishMetrics(j, "filled", time.Since(t0), nil)
-				return
-			}
-		}
+	var rec *telemetry.Recorder
+	if j.tel != nil {
+		rec = telemetry.NewRecorder(j.tel.Interval, 0)
 	}
 	var wall time.Duration
-	computed := false
-	res, hit, err := s.cache.GetOrRun(j.ctx, j.spec, func(ctx context.Context) (system.Results, error) {
-		computed = true
-		r := runner.RunOne(ctx, j.spec)
+	run := func(ctx context.Context) (system.Results, error) {
+		r := runner.RunOne(ctx, j.spec, rec)
 		wall = r.Wall
 		return r.Res, r.Err
-	})
-	if err == nil && computed && remoteOwned {
+	}
+	res, hit, err := s.cache.GetOrRun(j.ctx, j.spec, run)
+	if err == nil && !hit && s.cluster != nil {
 		s.offerToOwner(j.spec, res)
+	}
+	if err == nil && hit && rec != nil {
+		if res, err = run(j.ctx); err == nil {
+			s.cache.Put(j.spec, res)
+		}
+		hit = false
+	}
+	if err == nil && rec != nil {
+		s.storeTimeline(j.key, rec.Series())
 	}
 	j.finish(res, hit, wall, err)
 	s.finishMetrics(j, outcomeOf(hit, err), time.Since(t0), err)
 }
 
-// peerFill asks the fleet for key's cached entry and verifies the answer
-// really is the entry it claims to be (a confused peer must not poison the
-// local cache).
-func (s *Server) peerFill(ctx context.Context, key string) (rescache.Entry, bool) {
-	body, ok := s.cluster.Fill(ctx, key)
-	if !ok {
-		return rescache.Entry{}, false
-	}
-	var e rescache.Entry
-	if err := json.Unmarshal(body, &e); err != nil || e.Spec.Hash() != key {
-		s.log.Warn("cluster: discarding invalid peer fill", "key", key)
-		return rescache.Entry{}, false
-	}
-	return e, true
-}
-
-// offerToOwner pushes a locally computed result for a non-owned key back to
-// its owner, asynchronously and best-effort.
+// offerToOwner pushes a locally computed result back to its key's owner,
+// asynchronously and best-effort (a no-op for keys this node owns).
 func (s *Server) offerToOwner(spec system.Spec, res system.Results) {
 	body, err := json.Marshal(rescache.Entry{Spec: spec, Res: res})
 	if err != nil {
 		return
 	}
 	s.cluster.Offer(spec.Hash(), body)
-}
-
-// executeRecorded runs a telemetry-bearing job directly (outside GetOrRun, so
-// a Recorder can be attached to the machine), then back-fills the cache and
-// stores the sampled timeline under the run key.
-func (s *Server) executeRecorded(j *job) {
-	rec := telemetry.NewRecorder(j.tel.Interval, 0)
-	t0 := time.Now()
-	res, _, err := j.spec.ExecuteContext(j.ctx, rec)
-	wall := time.Since(t0)
-	if err == nil {
-		s.cache.Put(j.spec, res)
-		s.storeTimeline(j.key, rec.Series())
-	}
-	j.finish(res, false, wall, err)
-	s.finishMetrics(j, outcomeOf(false, err), wall, err)
 }
 
 func outcomeOf(hit bool, err error) string {
@@ -450,7 +420,6 @@ type jobStatus string
 
 const (
 	statusPending jobStatus = "pending"
-	statusRunning jobStatus = "running"
 	statusDone    jobStatus = "done"
 	statusFailed  jobStatus = "failed"
 )
@@ -460,7 +429,7 @@ const (
 type job struct {
 	spec   system.Spec
 	key    string
-	tel    *TelemetryOptions // non-nil: observe the run (see executeRecorded)
+	tel    *TelemetryOptions // non-nil: record the run's timeline (see execute)
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -484,8 +453,8 @@ func newJob(ctx context.Context, cancel context.CancelFunc, spec system.Spec) *j
 	}
 }
 
-// doneJob synthesizes an already-completed job for a cache hit at submit
-// time — no queue round-trip, no worker.
+// doneJob synthesizes an already-completed job for a cache hit at
+// admission — no queue round-trip, no worker.
 func doneJob(spec system.Spec, res system.Results) *job {
 	j := &job{
 		spec:   spec,
@@ -497,6 +466,12 @@ func doneJob(spec system.Spec, res system.Results) *job {
 	}
 	close(j.done)
 	return j
+}
+
+func (j *job) pending() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status == statusPending
 }
 
 func (j *job) finish(res system.Results, cached bool, wall time.Duration, err error) {
@@ -882,67 +857,101 @@ func queryTimeout(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
-// submit registers (or joins) the async job for spec. Completed results
-// short-circuit to a synthetic done job; a pending job for the same hash is
-// shared, so re-POSTing a slow Spec does not duplicate work or queue slots.
-// A telemetry-bearing submission only takes the cache short-circuit when the
-// timeline already exists too — otherwise the run is executed (once) to
-// produce it.
-func (s *Server) submit(spec system.Spec, timeout time.Duration, tel *TelemetryOptions) (*job, error) {
+// reqShape is what one request shape asks of the pipeline.
+type reqShape struct {
+	tel       *TelemetryOptions // non-nil: record the run's timeline
+	forwarded bool              // a peer routed the request here: never route it again
+
+	// poll marks /v1/runs jobs: they join or enter the poll registry (one
+	// pending job per key), run on a context of their own bounded by
+	// timeout, and shed with ErrQueueFull rather than wait on a full queue.
+	poll    bool
+	timeout time.Duration
+}
+
+// startJob is the one entry for every request shape — a /v1/runs spec,
+// list or matrix, a sweep run, a plan probe — and returns the job to wait
+// on. Every job passes three stages:
+//
+//   - admit: a closing server rejects it; a cached result answers it at
+//     once, provided its timeline also exists when one is asked for.
+//   - route: in fleet mode, a job that was not forwarded here and asks no
+//     telemetry goes to its key's live owner (runRemote).
+//   - local queue: the bounded queue the workers drain (execute). Streams
+//     wait for a slot (backpressure); /v1/runs jobs shed instead.
+//
+// ctx bounds the job: a stream's request context, or the server's for
+// /v1/runs jobs, which outlive their request.
+func (s *Server) startJob(ctx context.Context, sp system.Spec, o reqShape) (*job, error) {
 	// A closing server has no workers left; accepting the job would strand
 	// a ?wait=true caller (or a fleet peer's forwarded request) forever.
 	if err := s.baseCtx.Err(); err != nil {
 		s.rejected.Add(1)
 		return nil, fmt.Errorf("service: shutting down: %w", err)
 	}
-	wantTimeline := tel != nil && tel.Interval > 0
-	if res, ok := s.cache.Get(spec); ok {
-		if !wantTimeline {
-			return doneJob(spec, res), nil
+	if o.tel != nil && o.tel.Interval == 0 {
+		o.tel = nil
+	}
+	if res, ok := s.cache.Get(sp); ok {
+		if o.tel == nil {
+			return doneJob(sp, res), nil
 		}
-		if _, ok := s.timeline(spec.Hash()); ok {
-			return doneJob(spec, res), nil
+		if _, ok := s.timeline(sp.Hash()); ok {
+			return doneJob(sp, res), nil
 		}
 	}
-	s.mu.Lock()
-	if j, ok := s.runs[spec.Hash()]; ok {
-		j.mu.Lock()
-		pending := j.status == statusPending || j.status == statusRunning
-		j.mu.Unlock()
-		if pending {
-			s.mu.Unlock()
+	var cancel context.CancelFunc
+	if o.poll {
+		// Re-POSTing a slow Spec joins its pending job instead of taking a
+		// second queue slot — unless this submission asks for a timeline the
+		// pending job does not record. Its own job then coalesces with the
+		// pending one in GetOrRun.
+		s.mu.Lock()
+		pj := s.runs[sp.Hash()]
+		s.mu.Unlock()
+		if pj != nil && pj.pending() && (o.tel == nil || pj.tel != nil) {
+			return pj, nil
+		}
+		if o.timeout > 0 {
+			ctx, cancel = context.WithTimeout(ctx, o.timeout)
+		} else {
+			ctx, cancel = context.WithCancel(ctx)
+		}
+	}
+	j := newJob(ctx, cancel, sp)
+	j.tel = o.tel
+
+	if s.cluster != nil && !o.forwarded && o.tel == nil {
+		if owner, local := s.cluster.Owner(j.key); !local {
+			if o.poll {
+				s.register(j)
+			}
+			go s.runRemote(owner, j)
 			return j, nil
 		}
 	}
-	s.gcRunsLocked()
-	// Async jobs outlive their submitting request, so they hang off the
-	// server's context; the optional timeout is the only per-job bound.
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(s.baseCtx, timeout)
-	} else {
-		ctx, cancel = context.WithCancel(s.baseCtx)
+	if !o.poll {
+		s.enqueueLocal(j)
+		return j, nil
 	}
-	j := newJob(ctx, cancel, spec)
-	if wantTimeline {
-		j.tel = tel
-	}
-	s.runs[j.key] = j
-	s.mu.Unlock()
-
 	select {
 	case s.queue <- j:
 		s.submitted.Add(1)
+		s.register(j)
 		return j, nil
 	default:
-		s.mu.Lock()
-		delete(s.runs, j.key)
-		s.mu.Unlock()
 		cancel()
 		s.rejected.Add(1)
 		return nil, ErrQueueFull
 	}
+}
+
+// register makes j the poll record for its key.
+func (s *Server) register(j *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gcRunsLocked()
+	s.runs[j.key] = j
 }
 
 // runsGCThreshold bounds the async-run registry: past it, terminal jobs are
@@ -956,10 +965,7 @@ func (s *Server) gcRunsLocked() {
 		return
 	}
 	for k, j := range s.runs {
-		j.mu.Lock()
-		terminal := j.status == statusDone || j.status == statusFailed
-		j.mu.Unlock()
-		if terminal {
+		if !j.pending() {
 			delete(s.runs, k)
 		}
 	}
@@ -981,12 +987,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.maybeForwardSubmit(w, r, specs, req) {
-		return
+	o := reqShape{
+		tel:       req.Telemetry,
+		forwarded: r.Header.Get(cluster.ForwardedHeader) != "",
+		poll:      true,
+		timeout:   timeout,
 	}
 	jobs := make([]*job, 0, len(specs))
 	for _, sp := range specs {
-		j, err := s.submit(sp, timeout, req.Telemetry)
+		j, err := s.startJob(s.baseCtx, sp, o)
 		if err != nil {
 			// Load shed: the queue is a transient condition, so answer 429
 			// with a retry hint rather than 503 (clients and peers back off
@@ -1033,73 +1042,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		resp.Runs[i] = j.record()
 	}
 	writeJSON(w, code, resp)
-}
-
-// maybeForwardSubmit owner-routes a single-Spec submission to the ring
-// member that owns its key, so the fleet's singleflight has one home per
-// Spec. Only plain single runs forward: multi-spec and matrix bodies stay
-// local (the per-job paths route individually), telemetry is a local
-// observation request, and a request already carrying ForwardedHeader is
-// terminal here — one hop, never a loop. The owner's reply (including a
-// 429 shed) is relayed verbatim; a transport failure degrades to local
-// compute by returning false.
-func (s *Server) maybeForwardSubmit(w http.ResponseWriter, r *http.Request, specs []system.Spec, req SubmitRequest) bool {
-	if s.cluster == nil || len(specs) != 1 || req.Spec == nil {
-		return false
-	}
-	if req.Telemetry != nil && req.Telemetry.Interval > 0 {
-		return false
-	}
-	if r.Header.Get(cluster.ForwardedHeader) != "" {
-		return false
-	}
-	key := specs[0].Hash()
-	if s.cache.Contains(key) {
-		return false // local answer is free; no point shipping the request
-	}
-	owner, local := s.cluster.Owner(key)
-	if local {
-		return false
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false
-	}
-	path := r.URL.Path
-	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
-	}
-	status, resp, err := s.cluster.Forward(r.Context(), owner, http.MethodPost, path, body)
-	if err != nil {
-		s.log.Warn("cluster: forward failed, running locally", "peer", owner, "key", key, "err", err)
-		return false
-	}
-	if status == http.StatusOK {
-		// A waited run came back complete; adopt it so the next local
-		// request (and GET /v1/runs/{key}) is a cache hit here too.
-		s.adoptForwarded(resp, key)
-	}
-	if ra := "1"; status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(resp)
-	return true
-}
-
-// adoptForwarded back-fills the local cache from a forwarded ?wait=true
-// submission's completed response.
-func (s *Server) adoptForwarded(resp []byte, key string) {
-	var sr SubmitResponse
-	if err := json.Unmarshal(resp, &sr); err != nil {
-		return
-	}
-	for _, rec := range sr.Runs {
-		if rec.Status == string(statusDone) && rec.Results != nil && rec.Spec.Hash() == key {
-			s.cache.FillPeer(rec.Spec, *rec.Results)
-		}
-	}
 }
 
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
@@ -1179,12 +1121,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// (or in what order) the runs complete — in fleet mode, specs owned by
 	// a live peer fan out to it concurrently while local ones queue here,
 	// and the merged output is identical to a single node's.
-	fanout := r.Header.Get(cluster.ForwardedHeader) == ""
+	o := reqShape{forwarded: r.Header.Get(cluster.ForwardedHeader) != ""}
 	jobs := make(chan *job, len(specs))
 	go func() {
 		defer close(jobs)
 		for _, sp := range specs {
-			jobs <- s.startJob(ctx, sp, fanout)
+			j, err := s.startJob(ctx, sp, o)
+			if err != nil {
+				j = newJob(ctx, nil, sp)
+				j.finish(system.Results{}, false, 0, err)
+			}
+			jobs <- j
 		}
 	}()
 
@@ -1231,37 +1178,40 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}{sum})
 }
 
-// enqueueLocal puts a sweep job on the local queue, backpressuring the
-// producer; a cancelled context fails the job instead of blocking forever.
-func (s *Server) enqueueLocal(ctx context.Context, j *job) {
+// enqueueLocal puts a job on the local queue, waiting for a slot (stream
+// backpressure, or a /v1/runs job whose forward failed); a cancelled job
+// context fails the job instead of blocking forever.
+func (s *Server) enqueueLocal(j *job) {
 	select {
 	case s.queue <- j:
 		s.submitted.Add(1)
-	case <-ctx.Done():
-		j.finish(system.Results{}, false, 0, ctx.Err())
+	case <-j.ctx.Done():
+		j.finish(system.Results{}, false, 0, j.ctx.Err())
 	}
 }
 
-// runRemote executes one sweep job on its ring owner: a forwarded
-// ?wait=true submission, adopted into the local cache on success so
-// repeats are free here too. Any failure — owner down, shed after
-// retries, timeout, malformed reply — degrades to local compute, so a
-// sweep always completes with whatever nodes remain.
-func (s *Server) runRemote(ctx context.Context, owner string, j *job) {
+// runRemote executes one job on its ring owner: a forwarded ?wait=true
+// submission. The record takes the owner's cached and wall_ms, and the
+// result is adopted into the local cache so repeats are free here too. Any
+// failure — owner down, shed after retries, timeout, malformed reply —
+// degrades to local compute, so a request always completes with whatever
+// nodes remain.
+func (s *Server) runRemote(owner string, j *job) {
 	t0 := time.Now()
 	body, err := json.Marshal(SubmitRequest{Spec: &j.spec})
 	if err != nil {
-		s.enqueueLocal(ctx, j)
+		s.enqueueLocal(j)
 		return
 	}
-	status, resp, err := s.cluster.Forward(ctx, owner, http.MethodPost, "/v1/runs?wait=true", body)
+	status, resp, err := s.cluster.Forward(j.ctx, owner, http.MethodPost, "/v1/runs?wait=true", body)
 	if err == nil && status == http.StatusOK {
 		var sr SubmitResponse
 		if jerr := json.Unmarshal(resp, &sr); jerr == nil && len(sr.Runs) == 1 {
 			rec := sr.Runs[0]
 			if rec.Status == string(statusDone) && rec.Results != nil && rec.Spec.Hash() == j.key {
 				s.cache.FillPeer(rec.Spec, *rec.Results)
-				j.finish(*rec.Results, true, 0, nil)
+				wall := time.Duration(rec.WallMS * float64(time.Millisecond))
+				j.finish(*rec.Results, rec.Cached, wall, nil)
 				s.finishMetrics(j, "forwarded", time.Since(t0), nil)
 				return
 			}
@@ -1274,11 +1224,10 @@ func (s *Server) runRemote(ctx context.Context, owner string, j *job) {
 		s.log.Warn("cluster: remote run unusable, degrading to local",
 			"peer", owner, "key", j.key, "status", status)
 	}
-	s.enqueueLocal(ctx, j)
+	s.enqueueLocal(j)
 }
 
-// handleCacheGet serves one cache entry by key to fleet peers — the wire
-// half of cluster.Fill. 404 means a plain miss; the caller computes.
+// handleCacheGet serves one cache entry by key; 404 means a plain miss.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	e, ok := s.cache.EntryKey(key)

@@ -50,7 +50,6 @@ func newFleet(t *testing.T, ids []string, opt Options) map[string]*fleetNode {
 			Peers:          members,
 			HealthInterval: -1,
 			BackoffBase:    time.Millisecond,
-			HedgeDelay:     5 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -101,9 +100,10 @@ func TestFleetComputesSpecOnce(t *testing.T) {
 	}
 }
 
-// TestFleetPeerFillAvoidsRecompute: a job landing on a non-owner's queue
-// (a specs-list body is never forwarded) fills from the owner's cache
-// instead of recomputing.
+// TestFleetPeerFillAvoidsRecompute: a specs-list body sent to a non-owner
+// is owner-forwarded like every other job shape; the owner's cache answers
+// the forward, and the non-owner adopts the result (one PeerFill) instead
+// of recomputing.
 func TestFleetPeerFillAvoidsRecompute(t *testing.T) {
 	fleet := newFleet(t, []string{"a", "b"}, Options{Workers: 2, QueueDepth: 16})
 	spec := tinySpec("IS", config.CacheBased)
@@ -117,8 +117,7 @@ func TestFleetPeerFillAvoidsRecompute(t *testing.T) {
 	}
 
 	// Compute on the owner, then submit the same Spec as a list to the
-	// other member: the list path executes locally, where the worker's
-	// peer fill must win.
+	// other member: its job forwards to the owner, whose cache answers.
 	if _, err := fleet[owner].client.Submit(ctx, SubmitRequest{Specs: []system.Spec{spec}}, true, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestFleetPeerFillAvoidsRecompute(t *testing.T) {
 		t.Fatalf("non-owner record = %+v, want done and served from the fleet", recs)
 	}
 	if got := fleetMisses(fleet); got != 1 {
-		t.Fatalf("fleet-wide misses = %d, want 1 (peer fill, no recompute)", got)
+		t.Fatalf("fleet-wide misses = %d, want 1 (adopted from the owner, no recompute)", got)
 	}
 	if pf := fleet[other].srv.cache.Stats().PeerFills; pf != 1 {
 		t.Fatalf("non-owner PeerFills = %d, want 1", pf)

@@ -9,8 +9,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/config"
+	"repro/internal/system"
+	"repro/internal/workloads"
 )
 
 // TestHealthzFields pins the liveness document: status, build version, and
@@ -281,5 +284,71 @@ func TestTimelineUnknownKey404s(t *testing.T) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
 		t.Fatalf("error body = %v, %v", e, err)
+	}
+}
+
+// TestTelemetrySubmissionBehindPendingPlainJob: a telemetry submission that
+// arrives while a plain job for the same Spec is still pending must not
+// join it — the plain job records nothing — but queue its own job, so the
+// timeline exists once the runs finish.
+func TestTelemetrySubmissionBehindPendingPlainJob(t *testing.T) {
+	srv, client := newTestDaemon(t, Options{Workers: 1, QueueDepth: 4})
+	ctx := context.Background()
+
+	// Hold the only worker (for at most a second: the job's own timeout
+	// stops it) so both submissions below are still pending.
+	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Cores: 16}
+	if _, err := client.Submit(ctx, SubmitRequest{Spec: &slow}, false, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitForBusyWorker(t, srv)
+
+	spec := tinySpec("IS", config.HybridReal)
+	if _, err := client.Submit(ctx, SubmitRequest{Spec: &spec}, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := client.Submit(ctx, SubmitRequest{Spec: &spec, Telemetry: &TelemetryOptions{Interval: 64}}, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
+	if rec, err := client.Wait(wctx, recs[0].Key, 10*time.Millisecond); err != nil || rec.Status != "done" {
+		t.Fatalf("telemetry run = %+v, %v, want done", rec, err)
+	}
+	if _, err := client.Timeline(ctx, recs[0].Key); err != nil {
+		t.Fatalf("timeline of the telemetry submission: %v", err)
+	}
+}
+
+// TestTelemetryRunAndSweepComputeOnce: a telemetry run and a sweep of the
+// same Spec share one execution — the telemetry job runs inside GetOrRun,
+// so the sweep's job joins its flight instead of computing again.
+func TestTelemetryRunAndSweepComputeOnce(t *testing.T) {
+	srv, client := newTestDaemon(t, Options{Workers: 2, QueueDepth: 8})
+	ctx := context.Background()
+
+	spec := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Cores: 16}
+	recs, err := client.Submit(ctx, SubmitRequest{Spec: &spec, Telemetry: &TelemetryOptions{Interval: 1024}}, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForBusyWorker(t, srv)
+
+	m := Matrix{Benchmarks: []string{"CG"}, Systems: []string{"hybrid"}, Scale: "small", Cores: 16}
+	sum, err := client.Sweep(ctx, m, 0, nil)
+	if err != nil || sum.Failed != 0 {
+		t.Fatalf("sweep = %+v, %v", sum, err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
+	if rec, err := client.Wait(wctx, recs[0].Key, 10*time.Millisecond); err != nil || rec.Status != "done" {
+		t.Fatalf("telemetry run = %+v, %v, want done", rec, err)
+	}
+	if _, err := client.Timeline(ctx, recs[0].Key); err != nil {
+		t.Fatalf("timeline: %v", err)
+	}
+	if st := srv.cache.Stats(); st.Misses != 1 {
+		t.Fatalf("Misses = %d for a telemetry run plus a sweep of one Spec, want 1", st.Misses)
 	}
 }

@@ -336,11 +336,11 @@ func TestGetRunFromCacheOnlyKey(t *testing.T) {
 func TestCloseFinishesQueuedJobs(t *testing.T) {
 	srv := New(Options{Workers: 1, QueueDepth: 4})
 	slow := system.Spec{System: config.HybridReal, Benchmark: "CG", Scale: workloads.Small, Cores: 16}
-	if _, err := srv.submit(slow, 0, nil); err != nil {
+	if _, err := srv.startJob(srv.baseCtx, slow, reqShape{poll: true}); err != nil {
 		t.Fatal(err)
 	}
 	waitForBusyWorker(t, srv)
-	queued, err := srv.submit(tinySpec("EP", config.CacheBased), 0, nil)
+	queued, err := srv.startJob(srv.baseCtx, tinySpec("EP", config.CacheBased), reqShape{poll: true})
 	if err != nil {
 		t.Fatal(err)
 	}

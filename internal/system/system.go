@@ -173,10 +173,18 @@ func Build(cfg config.Config, bench *compiler.Benchmark, seed uint64) (*Machine,
 		return nil, err
 	}
 	// The generator tiles each kernel lazily, mid-run; a buffer plan the
-	// SPMDir cannot hold must fail here, not panic inside the engine.
+	// SPMDir or the SPM cannot hold must fail here, not panic inside the
+	// engine (core.SetBufSize, spm.CoreOf).
 	for i := range bench.Kernels {
-		if _, err := compiler.PlanBuffers(&bench.Kernels[i], cfg.SPMSize, cfg.SPMDirEntries, cfg.Cores); err != nil {
+		k := &bench.Kernels[i]
+		plan, err := compiler.PlanBuffers(k, cfg.SPMSize, cfg.SPMDirEntries, cfg.Cores)
+		if err != nil {
 			return nil, err
+		}
+		if cfg.HasSPM() && plan.NumBuffers > 0 &&
+			(cfg.SPMSize/plan.BufBytes > cfg.SPMDirEntries || plan.NumBuffers*plan.BufBytes > cfg.SPMSize) {
+			return nil, fmt.Errorf("system: kernel %s: %d buffers of %d B do not fit a %d B SPM with %d SPMDir entries",
+				k.Name, plan.NumBuffers, plan.BufBytes, cfg.SPMSize, cfg.SPMDirEntries)
 		}
 	}
 	eng := sim.NewEngine()
