@@ -167,12 +167,12 @@ func runWorkload(b *testing.B, name, params string, sys config.MemorySystem) sys
 }
 
 // benchSystems are the three machines every synthetic probe runs on, so the
-// BENCH_<date>.json perf trajectory covers non-NAS patterns per system.
+// benchmarks cover non-NAS patterns per system.
 var benchSystems = []config.MemorySystem{config.CacheBased, config.HybridReal, config.HybridIdeal}
 
 // BenchmarkSyntheticStream runs the streaming-triad registry workload (a
 // non-default stride=64) on every system — the bandwidth-bound synthetic
-// point of the perf trajectory.
+// point.
 func BenchmarkSyntheticStream(b *testing.B) {
 	for _, sys := range benchSystems {
 		b.Run(sys.String(), func(b *testing.B) {
@@ -187,8 +187,7 @@ func BenchmarkSyntheticStream(b *testing.B) {
 }
 
 // BenchmarkSyntheticPtrchase runs the guarded pointer-chase registry
-// workload on every system — the latency/filter-bound synthetic point of
-// the perf trajectory.
+// workload on every system — the latency/filter-bound synthetic point.
 func BenchmarkSyntheticPtrchase(b *testing.B) {
 	for _, sys := range benchSystems {
 		b.Run(sys.String(), func(b *testing.B) {

@@ -1,23 +1,26 @@
 // Command hybridsim runs one benchmark on one machine configuration and
-// prints its measurements.
+// prints its measurements, or sweeps and plans over such runs in-process.
 //
 // Usage:
 //
-//	hybridsim -bench CG -system hybrid -cores 64 -scale small
+//	hybridsim -bench CG -system hybrid -scale small
 //	hybridsim -bench CG -system hybrid -set l1d_size=65536 -set mem_latency=200
-//	hybridsim -bench IS -system hybrid -sweep filter_entries=16,32,48,64 -csv
-//	hybridsim -workload stream:stride=128 -sweep cores=4,8
-//	hybridsim -workload ptrchase -wsweep hot_pct=0,25,50,75,100
+//	hybridsim -bench IS -system hybrid -sweep filter_entries=16,32,48,64
+//	hybridsim -bench stream:stride=128 -sweep cores=4,8
+//	hybridsim -bench ptrchase -wsweep hot_pct=0,25,50,75,100
+//	hybridsim -bench all -sweep spm_size=16384,32768,65536
+//	hybridsim -plan knee -bench IS -sweep filter_entries=4,8,16,32,64 -objective 'hit_ratio~0.99'
 //	hybridsim -workloads
 //
 // Systems: cache (baseline, 64KB L1D), hybrid (SPMs + the paper's coherence
 // protocol), ideal (SPMs + oracle coherence). Every machine knob of
-// config.Config can be overridden by name with -set (see config.Knobs), and
-// every workload of the registry — the paper's NAS six plus the
-// parameterized synthetic generators (-workloads lists them) — is
-// addressable as "-workload name:param=value,...". Repeatable -sweep
-// (machine knobs) and -wsweep (workload parameters) flags turn the
-// invocation into an axis sweep printed as a per-column CSV.
+// config.Config can be overridden by name with -set (see -knobs), and every
+// workload of the registry — the paper's NAS six plus the parameterized
+// synthetic generators (-workloads lists them) — is addressable as
+// "-bench name:param=value,...". The shared flags (internal/cli) name the
+// same request a hybridsimd client sends: one run, or — with a -sweep or
+// -wsweep axis, or -bench/-system all — a sweep printed as a per-column
+// CSV, or with -plan a question answered by an internal/planner strategy.
 package main
 
 import (
@@ -30,137 +33,85 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/noc"
+	"repro/internal/planner"
 	"repro/internal/report"
 	"repro/internal/runner"
+	"repro/internal/service"
 	"repro/internal/system"
 	"repro/internal/telemetry"
-	"repro/internal/workloads"
 )
 
 func main() {
-	benchName := flag.String("bench", "CG", "benchmark name (see -workloads)")
-	workloadFlag := flag.String("workload", "", "workload spelling name[:param=value,...] — overrides -bench (see -workloads)")
-	sysName := flag.String("system", "hybrid", "machine: cache, hybrid, ideal")
-	cores := flag.Int("cores", 64, "core count (square-ish mesh is chosen automatically)")
-	scaleName := flag.String("scale", "small", "workload scale: tiny, small")
+	f := cli.Register(flag.CommandLine, cli.All...)
 	showConfig := flag.Bool("config", false, "print the Table 1 machine description and exit")
 	csv := flag.Bool("csv", false, "emit results as CSV")
 	maxEvents := flag.Uint64("max-events", 0, "abort after this many simulation events (0 = unlimited)")
-	timeout := flag.Duration("timeout", 0, "abort the run after this much wall-clock (0 = unlimited)")
 	listKnobs := flag.Bool("knobs", false, "list every -set/-sweep machine knob with its default and exit")
-	listWorkloads := flag.Bool("workloads", false, "list the workload catalog (names, params, defaults) and exit")
-	var sets, sweeps, wsweeps runner.MultiFlag
-	flag.Var(&sets, "set", "override one machine knob, name=value (repeatable; cores=N wins over -cores)")
-	flag.Var(&sweeps, "sweep", "sweep one machine knob, name=v1,v2,... (repeatable; prints a per-column CSV)")
-	flag.Var(&wsweeps, "wsweep", "sweep one workload parameter, name=v1,v2,... (repeatable; prints a per-column CSV)")
-	workers := flag.Int("workers", 0, "parallel simulations for -sweep/-wsweep (0 = one per host CPU)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 	interval := flag.Uint64("interval", 0, "sample counters every N cycles into a time series (0 = off; single run only)")
 	timelinePath := flag.String("timeline", "", "write the -interval time series here (.json = JSON, else CSV; default stdout CSV)")
 	tracePath := flag.String("trace", "", "record an event trace here (.jsonl = JSON lines, else Chrome trace_event JSON for Perfetto)")
 	traceEvents := flag.Int("trace-events", 1<<16, "event-trace ring-buffer capacity (oldest events drop first)")
-	analyze := flag.Bool("analyze", false, "run the bottleneck advisor over the finished run and print its findings")
 	findingsPath := flag.String("findings", "", "write -analyze findings as JSON here (default: text after the report; CSV mode: text to stderr)")
-	version := flag.Bool("version", false, "print the build version and exit")
-	flag.Parse()
-
-	if *version {
-		fmt.Println("hybridsim", buildinfo.Version())
-		return
-	}
-
-	if *listWorkloads {
-		report.WorkloadCatalog(os.Stdout)
-		return
-	}
-
-	sys, err := config.ParseMemorySystem(*sysName)
-	if err != nil {
+	if err := f.Parse(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if f.PrintInfo("hybridsim") {
+		return
+	}
 
-	if *listKnobs {
-		def := config.ForSystem(sys)
-		fmt.Printf("%-22s %s\n", "knob", "default ("+sys.String()+")")
+	if *listKnobs || *showConfig {
+		spec, err := f.Spec()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		if *showConfig {
+			// Spec.Config carries the same derived adjustments (mesh
+			// re-dimensioning, controller cap) a real run would get.
+			report.Table1(os.Stdout, spec.Config())
+			return
+		}
+		def := config.ForSystem(spec.System)
+		fmt.Printf("%-22s %s\n", "knob", "default ("+spec.System.String()+")")
 		for _, k := range config.Knobs() {
 			fmt.Printf("%-22s %d\n", k.Name, *k.Field(&def))
 		}
 		return
 	}
 
-	if *showConfig {
-		ov, err := config.ParseOverrides(sets)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		// Materialize through Spec.Config so the printed machine carries the
-		// same derived adjustments (mesh re-dimensioning, controller cap) a
-		// real run with these flags would get.
-		spec := system.Spec{System: sys, Overrides: ov, Cores: runner.CoresFlag(ov, *cores)}
-		report.Table1(os.Stdout, spec.Config())
-		return
-	}
-
-	scale, err := workloads.ParseScale(*scaleName)
+	req, err := f.Request()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	overrides, err := config.ParseOverrides(sets)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	*cores = runner.CoresFlag(overrides, *cores)
-
-	// -workload carries an optional parameter payload; a bare -bench is the
-	// parameterless spelling of the same thing.
-	spelling := *benchName
-	if *workloadFlag != "" {
-		spelling = *workloadFlag
-	}
-	bench, params, err := workloads.ParseWorkload(spelling)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if req.Spec == nil && (*interval > 0 || *tracePath != "") {
+		fmt.Fprintln(os.Stderr, "-interval/-trace apply to a single run, not a sweep or a plan")
 		os.Exit(2)
 	}
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := f.Context()
+	defer cancel()
 
 	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 	defer stopProfiles()
 
-	if len(sweeps) > 0 || len(wsweeps) > 0 {
-		if *interval > 0 || *tracePath != "" {
-			fmt.Fprintln(os.Stderr, "-interval/-trace apply to a single run, not a sweep")
-			os.Exit(2)
-		}
-		runSweep(ctx, sys, workloads.FormatWorkload(bench, params), scale,
-			*cores, *maxEvents, overrides, sweeps, wsweeps, *workers, *analyze)
+	switch {
+	case req.Plan != nil:
+		runPlan(ctx, *req.Plan, *maxEvents)
+		return
+	case req.Matrix != nil:
+		runSweep(ctx, *req.Matrix, *maxEvents, f.Workers)
 		return
 	}
-
-	spec := system.Spec{
-		System:    sys,
-		Benchmark: bench,
-		Params:    workloads.FormatParams(bench, params),
-		Scale:     scale,
-		Overrides: overrides,
-		Cores:     *cores,
-		MaxEvents: *maxEvents,
-	}
+	spec := *req.Spec
+	spec.MaxEvents = *maxEvents
 
 	// Telemetry: sampling (-interval) and tracing (-trace) ride one Recorder
 	// attached to the machine; a run without either executes the exact same
@@ -191,7 +142,7 @@ func main() {
 		}
 	}
 	advise := func(textOut *os.File) {
-		if !*analyze {
+		if !f.Analyze {
 			return
 		}
 		in := analysis.Input{Config: spec.Config(), Results: r, Stats: stats}
@@ -223,7 +174,7 @@ func main() {
 		return
 	}
 
-	fmt.Printf("%s on %s (%d cores, %s scale)\n", r.Benchmark, r.System, spec.Config().Cores, scale)
+	fmt.Printf("%s on %s (%d cores, %s scale)\n", r.Benchmark, r.System, spec.Config().Cores, spec.Scale)
 	if diff, ok := spec.ParamDiff(); ok && len(diff) > 0 {
 		fmt.Print("  workload params ")
 		for _, pv := range diff {
@@ -253,11 +204,11 @@ func main() {
 	e := r.Energy
 	fmt.Printf("  energy (pJ)      total=%.0f cpus=%.0f caches=%.0f noc=%.0f others=%.0f spms=%.0f cohprot=%.0f\n",
 		e.Total(), e.CPUs, e.Caches, e.NoC, e.Others, e.SPMs, e.CohProt)
-	if sys == config.HybridReal {
+	if spec.System == config.HybridReal {
 		fmt.Printf("  filter hit ratio %.2f%%\n", r.FilterHitRatio*100)
 		fmt.Printf("  LSQ flushes      %d\n", r.Flushes)
 	}
-	if sys != config.CacheBased {
+	if spec.System != config.CacheBased {
 		fmt.Printf("  DMA line xfers   %d\n", r.DMALineTransfers)
 	}
 	export()
@@ -356,34 +307,16 @@ func startProfiles(cpuPath, memPath string) func() {
 	}
 }
 
-// runSweep expands -sweep knob axes and -wsweep workload-parameter axes
-// over the selected workload and system and prints the per-column CSV
+// runSweep runs every point of the sweep m and prints the per-column CSV
 // (report.SweepCSV).
-func runSweep(ctx context.Context, sys config.MemorySystem, workload string, scale workloads.Scale,
-	cores int, maxEvents uint64, base config.Overrides, sweeps, wsweeps []string, workers int, analyze bool) {
-	axes, err := runner.ParseKnobAxes(sweeps)
+func runSweep(ctx context.Context, m service.Matrix, maxEvents uint64, workers int) {
+	specs, err := m.Specs()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	waxes, err := runner.ParseParamAxes(wsweeps)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	specs, err := runner.Axes{
-		Benchmarks: []string{workload},
-		Systems:    []config.MemorySystem{sys},
-		Scale:      scale,
-		Cores:      cores,
-		MaxEvents:  maxEvents,
-		Base:       base,
-		Knobs:      axes,
-		WParams:    waxes,
-	}.Specs()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	for i := range specs {
+		specs[i].MaxEvents = maxEvents
 	}
 	results, err := runner.Collect(runner.RunContext(ctx, specs, runner.Options{Workers: workers, Progress: os.Stderr}))
 	if err != nil {
@@ -394,8 +327,30 @@ func runSweep(ctx context.Context, sys config.MemorySystem, workload string, sca
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if analyze {
+	if m.Analyze {
 		// Stderr keeps the CSV stream on stdout machine-readable.
 		report.SweepFindingsText(os.Stderr, analysis.Sweep(specs, results))
 	}
+}
+
+// runPlan answers the plan's question in-process: every probe simulates
+// through planner.LocalProber, with no daemon and no cache.
+func runPlan(ctx context.Context, req service.PlanRequest, maxEvents uint64) {
+	q, err := req.Question()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	q.Axes.MaxEvents = maxEvents
+	var probes []planner.Probe
+	v, err := planner.Run(ctx, q, planner.LocalProber{}, func(p planner.Probe) error {
+		probes = append(probes, p)
+		fmt.Fprintf(os.Stderr, "probe %d: %s\n", p.Index, p.Key)
+		return nil
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "plan: %v\n", err)
+		os.Exit(1)
+	}
+	report.PlanText(os.Stdout, probes, v)
 }

@@ -17,9 +17,10 @@
 // and a typed config.Overrides that can retarget any machine knob by name
 // (the config.Knobs registry) — and internal/runner fans a []Spec across a
 // worker pool with byte-identical output for any worker count. runner.Axes
-// enumerates workload x system x knob x workload-param cross products;
-// every CLI spells it as repeatable -set / -sweep / -workload / -wsweep
-// flags:
+// enumerates workload x system x knob x workload-param cross products.
+// The commands share one set of run flags (internal/cli: -bench, -system,
+// -set, repeatable -sweep / -wsweep axes, ...) that parse into the same
+// Spec, Matrix or PlanRequest a daemon client sends:
 //
 //	specs, err := runner.Axes{
 //		Benchmarks: []string{"stream:streams=4"},

@@ -116,13 +116,8 @@ type Config struct {
 	L2SliceSize int // 256 KB per core
 	L2Assoc     int // 16
 
-	// Cache directory.
-	DirEntriesPerSlice int // 64K total / cores
-	DirAssoc           int // 4
-
 	// TLB (hybrid SPM accesses bypass it entirely).
-	TLBLatency int // cycles added on the L1 path for GM accesses
-	TLBEntries int
+	TLBEntries int // fully associative: one set of TLBEntries ways
 	TLBMissLat int // page-walk cost
 
 	// NoC.
@@ -183,10 +178,6 @@ func Default() Config {
 		// of Table 2 is preserved
 		L2Assoc: 16,
 
-		DirEntriesPerSlice: 64 << 10 / 64,
-		DirAssoc:           4,
-
-		TLBLatency: 1,
 		TLBEntries: 64,
 		TLBMissLat: 30,
 
@@ -234,7 +225,6 @@ func SmallTest() Config {
 	c.L1ISize = 4 << 10
 	c.L2SliceSize = 16 << 10
 	c.SPMSize = 4 << 10
-	c.DirEntriesPerSlice = 1 << 10
 	c.FilterEntries = 8
 	c.FilterDirEntries = 64
 	c.SPMDirEntries = 8
@@ -247,6 +237,11 @@ func (c Config) HasSPM() bool { return c.System != CacheBased }
 
 // IdealCoherence reports whether guarded accesses are resolved by an oracle.
 func (c Config) IdealCoherence() bool { return c.System == HybridIdeal }
+
+// maxWays is the widest set a cache array models (cache.NewArray's limit);
+// every associativity knob and the fully associative TLB's entry count
+// becomes a way count there.
+const maxWays = 64
 
 // Validate checks structural invariants; models assume these hold.
 func (c Config) Validate() error {
@@ -271,10 +266,16 @@ func (c Config) Validate() error {
 		if p.size <= 0 || p.ass <= 0 {
 			return fmt.Errorf("config: %s size/assoc must be positive", p.name)
 		}
+		if p.ass > maxWays {
+			return fmt.Errorf("config: %s assoc %d exceeds %d ways", p.name, p.ass, maxWays)
+		}
 		sets := p.size / (p.ass * c.LineSize)
 		if sets <= 0 || sets&(sets-1) != 0 {
 			return fmt.Errorf("config: %s sets %d must be a power of two", p.name, sets)
 		}
+	}
+	if c.TLBEntries > maxWays {
+		return fmt.Errorf("config: TLBEntries %d exceeds %d ways (the TLB is one fully associative set)", c.TLBEntries, maxWays)
 	}
 	if c.HasSPM() {
 		if c.SPMSize <= 0 || c.SPMSize%c.LineSize != 0 {
@@ -333,7 +334,6 @@ func (c Config) Validate() error {
 		{"L1ILatency", c.L1ILatency},
 		{"L1DLatency", c.L1DLatency},
 		{"L2Latency", c.L2Latency},
-		{"TLBLatency", c.TLBLatency},
 		{"TLBMissLat", c.TLBMissLat},
 		{"LinkLatency", c.LinkLatency},
 		{"RouterLatency", c.RouterLatency},

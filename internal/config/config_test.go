@@ -123,6 +123,33 @@ func TestValidateRejectsNonPow2Sets(t *testing.T) {
 	}
 }
 
+// TestValidateCapsWays: every associativity knob and the fully associative
+// TLB's entry count become a cache.NewArray way count, which panics past
+// 64. Validate accepts 64 ways and rejects 65, even where the set count
+// stays a power of two (65 ways of 64 B in 33,280 B is 8 sets).
+func TestValidateCapsWays(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(c *Config, ways int)
+	}{
+		{"TLBEntries", func(c *Config, w int) { c.TLBEntries = w }},
+		{"L1IAssoc", func(c *Config, w int) { c.L1IAssoc, c.L1ISize = w, 8*w*c.LineSize }},
+		{"L1DAssoc", func(c *Config, w int) { c.L1DAssoc, c.L1DSize = w, 8*w*c.LineSize }},
+		{"L2Assoc", func(c *Config, w int) { c.L2Assoc, c.L2SliceSize = w, 8*w*c.LineSize }},
+	} {
+		c := Default()
+		tc.set(&c, 64)
+		if err := c.Validate(); err != nil {
+			t.Errorf("Validate rejected %s = 64: %v", tc.name, err)
+		}
+		c = Default()
+		tc.set(&c, 65)
+		if err := c.Validate(); err == nil {
+			t.Errorf("Validate accepted %s = 65", tc.name)
+		}
+	}
+}
+
 func TestValidateRejectsZeroQueues(t *testing.T) {
 	c := Default()
 	c.DMACmdQueue = 0

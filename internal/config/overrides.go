@@ -46,10 +46,6 @@ type Overrides struct {
 	L2SliceSize int `json:"l2_slice_size,omitempty"`
 	L2Assoc     int `json:"l2_assoc,omitempty"`
 
-	DirEntriesPerSlice int `json:"dir_entries_per_slice,omitempty"`
-	DirAssoc           int `json:"dir_assoc,omitempty"`
-
-	TLBLatency int `json:"tlb_latency,omitempty"`
 	TLBEntries int `json:"tlb_entries,omitempty"`
 	TLBMissLat int `json:"tlb_miss_latency,omitempty"`
 
@@ -88,9 +84,10 @@ type Knob struct {
 }
 
 // knobs is the registry, in the fixed order the v2 hash encoding and every
-// enumeration (Key, Diff, sweep CSV columns) use. Append-only: reordering or
-// renaming entries changes canonical hashes and requires a version bump in
-// system.Spec.Hash (DESIGN.md §8).
+// enumeration (Key, Diff, sweep CSV columns) use. Reordering or renaming
+// entries changes canonical hashes and requires a version bump in
+// system.Spec.Hash (DESIGN.md §8); removing one keeps the hash of every Spec
+// that never set it, and turns a Spec that does into a validation error.
 var knobs = []Knob{
 	{"cores", func(c *Config) *int { return &c.Cores }, func(o *Overrides) *int { return &o.Cores }},
 	{"mesh_width", func(c *Config) *int { return &c.MeshWidth }, func(o *Overrides) *int { return &o.MeshWidth }},
@@ -116,9 +113,6 @@ var knobs = []Knob{
 	{"l2_latency", func(c *Config) *int { return &c.L2Latency }, func(o *Overrides) *int { return &o.L2Latency }},
 	{"l2_slice_size", func(c *Config) *int { return &c.L2SliceSize }, func(o *Overrides) *int { return &o.L2SliceSize }},
 	{"l2_assoc", func(c *Config) *int { return &c.L2Assoc }, func(o *Overrides) *int { return &o.L2Assoc }},
-	{"dir_entries_per_slice", func(c *Config) *int { return &c.DirEntriesPerSlice }, func(o *Overrides) *int { return &o.DirEntriesPerSlice }},
-	{"dir_assoc", func(c *Config) *int { return &c.DirAssoc }, func(o *Overrides) *int { return &o.DirAssoc }},
-	{"tlb_latency", func(c *Config) *int { return &c.TLBLatency }, func(o *Overrides) *int { return &o.TLBLatency }},
 	{"tlb_entries", func(c *Config) *int { return &c.TLBEntries }, func(o *Overrides) *int { return &o.TLBEntries }},
 	{"tlb_miss_latency", func(c *Config) *int { return &c.TLBMissLat }, func(o *Overrides) *int { return &o.TLBMissLat }},
 	{"link_latency", func(c *Config) *int { return &c.LinkLatency }, func(o *Overrides) *int { return &o.LinkLatency }},

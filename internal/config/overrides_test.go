@@ -164,7 +164,7 @@ func TestValidateRejectsDegenerateCapacities(t *testing.T) {
 			t.Errorf("Validate accepted %s = 0", f)
 		}
 	}
-	lat := []string{"L1ILatency", "L1DLatency", "L2Latency", "TLBLatency", "TLBMissLat",
+	lat := []string{"L1ILatency", "L1DLatency", "L2Latency", "TLBMissLat",
 		"LinkLatency", "RouterLatency", "MemLatency", "SPMLatency", "DMALineCycles"}
 	for _, f := range lat {
 		c := Default()

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -85,15 +84,4 @@ func planPointText(axes []string, a planner.Answer) string {
 		parts = append(parts, fmt.Sprintf("%s=%.4g", m.Name, a.Metrics[m.Name]))
 	}
 	return strings.Join(parts, " ")
-}
-
-// PlanJSON renders the transcript and verdict as one indented JSON object —
-// the plan analogue of FindingsJSON.
-func PlanJSON(w io.Writer, probes []planner.Probe, v planner.Verdict) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Probes  []planner.Probe `json:"probes"`
-		Verdict planner.Verdict `json:"verdict"`
-	}{probes, v})
 }

@@ -2,7 +2,6 @@ package report
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -42,23 +41,5 @@ func TestPlanText(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("PlanText output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestPlanJSON(t *testing.T) {
-	probes, v := samplePlan()
-	var buf bytes.Buffer
-	if err := PlanJSON(&buf, probes, v); err != nil {
-		t.Fatal(err)
-	}
-	var round struct {
-		Probes  []planner.Probe `json:"probes"`
-		Verdict planner.Verdict `json:"verdict"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &round); err != nil {
-		t.Fatalf("output is not JSON: %v", err)
-	}
-	if len(round.Probes) != 2 || round.Verdict.Answer == nil || round.Verdict.Grid != 16 {
-		t.Errorf("round trip lost data: %+v", round)
 	}
 }

@@ -124,3 +124,26 @@ func TestTopLevelFilterEntriesDiskEntrySkipped(t *testing.T) {
 		t.Fatalf("DiskErrors = %d, want 1", st.DiskErrors)
 	}
 }
+
+// TestRetiredKnobDiskEntrySkipped: an entry persisted while its Spec set a
+// knob since retired from the registry (tlb_latency, dir_assoc,
+// dir_entries_per_slice, which the simulator never read) no longer
+// decodes; it is a disk error, and the run recomputes.
+func TestRetiredKnobDiskEntrySkipped(t *testing.T) {
+	for _, knob := range []string{"tlb_latency", "dir_assoc", "dir_entries_per_slice"} {
+		dir := t.TempDir()
+		old := `{"spec":{"system":"hybrid","benchmark":"EP","scale":"tiny","cores":4,"overrides":{"filter_entries":40,"` +
+			knob + `":1}},"results":{"Cycles":9}}`
+		if err := os.WriteFile(filepath.Join(dir, spec(40).Hash()+".json"), []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := mustNew(t, 8, dir)
+		calls := 0
+		if _, hit, err := c.GetOrRun(context.Background(), spec(40), fakeRun(&calls, 1)); hit || err != nil || calls != 1 {
+			t.Fatalf("%s: hit=%v err=%v calls=%d, want one clean recompute", knob, hit, err, calls)
+		}
+		if st := c.Stats(); st.DiskErrors != 1 {
+			t.Fatalf("%s: DiskErrors = %d, want 1", knob, st.DiskErrors)
+		}
+	}
+}

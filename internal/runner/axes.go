@@ -2,26 +2,15 @@ package runner
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/config"
 	"repro/internal/system"
 	"repro/internal/workloads"
 )
 
-// MultiFlag accumulates repeatable string flags — the CLI carrier for the
-// "-set name=value" / "-sweep name=v1,v2,..." payloads ParseKnobAxes and
-// config.ParseOverrides consume. It implements flag.Value.
-type MultiFlag []string
-
-func (m *MultiFlag) String() string { return fmt.Sprint(*m) }
-
-// Set appends one flag occurrence.
-func (m *MultiFlag) Set(s string) error { *m = append(*m, s); return nil }
-
 // KnobAxis is one swept machine dimension: a knob name from the
-// config.Knobs() registry and the values it takes. It doubles as the wire
-// form of a sweep axis in the service API.
+// config.Knobs() registry and the values it takes — the payload of a
+// "-sweep name=v1,v2,..." flag or a Matrix "sweep" entry.
 type KnobAxis struct {
 	Name   string `json:"name"`
 	Values []int  `json:"values"`
@@ -33,80 +22,6 @@ type KnobAxis struct {
 type ParamAxis struct {
 	Name   string `json:"name"`
 	Values []int  `json:"values"`
-}
-
-// parseAxis parses one "name=v1,v2,..." axis payload.
-func parseAxis(s string) (string, []int, error) {
-	name, raw, ok := strings.Cut(s, "=")
-	if !ok || name == "" || raw == "" {
-		return "", nil, fmt.Errorf("runner: bad sweep axis %q (want name=v1,v2,...)", s)
-	}
-	var values []int
-	for _, f := range strings.Split(raw, ",") {
-		v, err := workloads.ParseParamValue(strings.TrimSpace(f))
-		if err != nil {
-			return "", nil, fmt.Errorf("runner: bad value in sweep axis %q: %w", s, err)
-		}
-		values = append(values, v)
-	}
-	return strings.TrimSpace(name), values, nil
-}
-
-// ParseKnobAxis parses the "-sweep name=v1,v2,..." flag payload.
-func ParseKnobAxis(s string) (KnobAxis, error) {
-	name, values, err := parseAxis(s)
-	if err != nil {
-		return KnobAxis{}, err
-	}
-	return KnobAxis{Name: name, Values: values}, nil
-}
-
-// ParseKnobAxes parses a list of "-sweep" flag payloads into axes.
-func ParseKnobAxes(flags []string) ([]KnobAxis, error) {
-	var axes []KnobAxis
-	for _, f := range flags {
-		ax, err := ParseKnobAxis(f)
-		if err != nil {
-			return nil, err
-		}
-		axes = append(axes, ax)
-	}
-	return axes, nil
-}
-
-// ParseParamAxis parses the "-wsweep name=v1,v2,..." flag payload.
-func ParseParamAxis(s string) (ParamAxis, error) {
-	name, values, err := parseAxis(s)
-	if err != nil {
-		return ParamAxis{}, err
-	}
-	return ParamAxis{Name: name, Values: values}, nil
-}
-
-// ParseParamAxes parses a list of "-wsweep" flag payloads into axes.
-func ParseParamAxes(flags []string) ([]ParamAxis, error) {
-	var axes []ParamAxis
-	for _, f := range flags {
-		ax, err := ParseParamAxis(f)
-		if err != nil {
-			return nil, err
-		}
-		axes = append(axes, ax)
-	}
-	return axes, nil
-}
-
-// CoresFlag resolves a -cores flag value against an explicit "cores"
-// override, which wins. This is the single spelling of the precedence rule
-// every driver needs: CLI -cores flags carry non-zero defaults, so without
-// it a user's "-set cores=N" would always trip Spec.Validate's
-// legacy-vs-override conflict check. Axes.Specs applies the same rule to
-// its Cores field.
-func CoresFlag(ov config.Overrides, flagCores int) int {
-	if ov.Cores != 0 {
-		return 0
-	}
-	return flagCores
 }
 
 // Axes declares a sweep as the cross product of its dimensions: benchmarks
@@ -162,7 +77,10 @@ func (a Axes) Specs() ([]system.Spec, error) {
 	if len(systems) == 0 {
 		systems = AllSystems
 	}
-	cores := CoresFlag(a.Base, a.Cores)
+	cores := a.Cores
+	if a.Base.Cores != 0 {
+		cores = 0 // an explicit "cores" override wins over the legacy field
+	}
 	n := len(benches) * len(systems)
 	seen := map[string]bool{}
 	for _, ax := range a.Knobs {

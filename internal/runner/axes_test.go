@@ -2,7 +2,6 @@ package runner
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -112,24 +111,6 @@ func TestMatrixIsAxesWithoutKnobs(t *testing.T) {
 	}
 }
 
-func TestParseKnobAxis(t *testing.T) {
-	ax, err := ParseKnobAxis("filter_entries=16,32, 48")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ax.Name != "filter_entries" || !reflect.DeepEqual(ax.Values, []int{16, 32, 48}) {
-		t.Fatalf("parsed %+v", ax)
-	}
-	for _, bad := range []string{"filter_entries", "=1,2", "filter_entries=", "filter_entries=1,x"} {
-		if _, err := ParseKnobAxis(bad); err == nil {
-			t.Errorf("ParseKnobAxis accepted %q", bad)
-		}
-	}
-	if _, err := ParseKnobAxes([]string{"l1d_size=16384", "bogus"}); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Errorf("ParseKnobAxes = %v, want error naming the bad flag", err)
-	}
-}
-
 // TestAxesCoresKnobWinsOverLegacyField: drivers always fill Axes.Cores
 // from their -cores flag, so a "cores" Base override or sweep axis must
 // take precedence instead of tripping the Spec conflict check.
@@ -232,21 +213,6 @@ func TestAxesRejectsBadWorkloadAxes(t *testing.T) {
 	for i, a := range cases {
 		if _, err := a.Specs(); err == nil {
 			t.Errorf("case %d: Specs accepted a bad workload axis", i)
-		}
-	}
-}
-
-func TestParseParamAxis(t *testing.T) {
-	ax, err := ParseParamAxis("stride=8,64k, 128")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ax.Name != "stride" || !reflect.DeepEqual(ax.Values, []int{8, 64 << 10, 128}) {
-		t.Fatalf("parsed %+v", ax)
-	}
-	for _, bad := range []string{"stride", "=1,2", "stride=", "stride=1,x"} {
-		if _, err := ParseParamAxis(bad); err == nil {
-			t.Errorf("ParseParamAxis accepted %q", bad)
 		}
 	}
 }

@@ -35,8 +35,8 @@ type PlanRequest struct {
 	Budget     int                 `json:"budget,omitempty"`
 }
 
-// question resolves the wire names into a validated planner.Question.
-func (r PlanRequest) question() (planner.Question, error) {
+// Question resolves the wire names into a validated planner.Question.
+func (r PlanRequest) Question() (planner.Question, error) {
 	var q planner.Question
 	if r.Benchmark == "" {
 		return q, errors.New(`plan needs a "benchmark"`)
@@ -127,7 +127,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad plan body: %w", err))
 		return
 	}
-	q, err := req.question()
+	q, err := req.Question()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -50,15 +50,21 @@ func TestSubmitOverridesBearingSpec(t *testing.T) {
 }
 
 // TestSubmitRejectsBadOverrides: unknown knobs, negative values, more
-// memory controllers than mesh nodes and the retired top-level
-// "filter_entries" key fail the request with 400 before anything is queued.
+// memory controllers than mesh nodes, a way count past the cache model's
+// limit, the retired top-level "filter_entries" key and the retired
+// knobs the simulator never read fail the request with 400 before
+// anything is queued.
 func TestSubmitRejectsBadOverrides(t *testing.T) {
 	_, client := newTestDaemon(t, Options{Workers: 1, QueueDepth: 4})
 	for _, body := range []string{
 		`{"spec":{"system":"cache","benchmark":"EP","scale":"tiny","overrides":{"warp_drive":1}}}`,
 		`{"spec":{"system":"cache","benchmark":"EP","scale":"tiny","overrides":{"mem_latency":-5}}}`,
 		`{"spec":{"system":"cache","benchmark":"EP","scale":"tiny","overrides":{"mem_controllers":100}}}`,
+		`{"spec":{"system":"cache","benchmark":"IS","scale":"tiny","cores":4,"overrides":{"tlb_entries":65}}}`,
 		`{"spec":{"system":"hybrid","benchmark":"IS","scale":"tiny","filter_entries":8}}`,
+		`{"spec":{"system":"hybrid","benchmark":"CG","scale":"tiny","overrides":{"tlb_latency":50}}}`,
+		`{"spec":{"system":"hybrid","benchmark":"CG","scale":"tiny","overrides":{"dir_assoc":1}}}`,
+		`{"spec":{"system":"hybrid","benchmark":"CG","scale":"tiny","overrides":{"dir_entries_per_slice":1}}}`,
 		`{"matrix":{"scale":"tiny","cores":4,"sweep":[{"name":"warp_drive","values":[1]}]}}`,
 		`{"matrix":{"scale":"tiny","cores":4,"sweep":[{"name":"l1d_size","values":[]}]}}`,
 	} {
@@ -83,7 +89,7 @@ func TestEmptyScaleMeansSmall(t *testing.T) {
 	req := PlanRequest{Strategy: "knee", Benchmark: "IS",
 		Sweep:      []runner.KnobAxis{{Name: "filter_entries", Values: []int{4, 8}}},
 		Constraint: &planner.Constraint{Metric: "hit_ratio", SlackOfBest: 0.99}}
-	q, err := req.question()
+	q, err := req.Question()
 	if err != nil || q.Axes.Scale != workloads.Small {
 		t.Fatalf("PlanRequest without scale: scale %v, %v", q.Axes.Scale, err)
 	}
